@@ -8,10 +8,12 @@
 //! RLS with an L1-resident `P`, the Q20 datapath and DQN replay + SGD;
 //! nothing is batched and nothing is served.
 
+use crate::calib::{Calibrator, CALIBRATION_SHARE};
 use crate::probe::{AgentProbe, EnvProbe, TimedAgent, TimedEnv};
-use crate::stats::{mean, median};
+use crate::stats::{geomean, mean, median};
 use crate::{
-    build_agent, reconcile, report_agent_layers, report_env_layer, Dut, RunReport, DQN, FPGA, OSELM,
+    build_agent, reconcile, report_agent_layers, report_layer_totals, report_setups,
+    report_slowdown, Dut, LayerTotals, RunReport, DQN, FPGA, OSELM,
 };
 use elmrl_core::agent::Agent;
 use elmrl_core::ops::OpKind;
@@ -135,6 +137,7 @@ pub fn check_trial(spec: &TrialSpec, t: &TrainingResult) -> Vec<String> {
 #[derive(Clone, Default)]
 struct TrialTally {
     walls: Vec<f64>,
+    scaled: Vec<f64>,
     steps: u64,
     solved: bool,
 }
@@ -143,13 +146,7 @@ struct TrialTally {
 /// the per-layer run.
 pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
     let mut report = RunReport::default();
-    let setups: Vec<f64> = (0..SETUP_REPEATS).map(|_| setup_once()).collect();
-    report.metric(
-        "setup_s",
-        median(&setups).expect("setups ran"),
-        "s",
-        setups.len() as u64,
-    );
+    report_setups(&mut report, SETUP_REPEATS, calibrator(), setup_once);
 
     let list = trial_list(seed);
     if trace {
@@ -158,6 +155,12 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
         untraced(&list, seconds, &mut report);
     }
     report
+}
+
+/// The workload's calibrator: one thread, as the trials run, on a matrix
+/// of the trials' `P` size.
+fn calibrator() -> Calibrator {
+    Calibrator::new(1, HIDDEN)
 }
 
 /// One set-up: a short warm-up trial of every design, paging in code and
@@ -195,6 +198,7 @@ fn for_each_trial(list: &[(Dut, TrialSpec)], seconds: f64, mut each: impl FnMut(
 }
 
 fn untraced(list: &[(Dut, TrialSpec)], seconds: f64, report: &mut RunReport) {
+    let mut cal = calibrator();
     let mut tallies = vec![TrialTally::default(); list.len()];
     let mut seen: Vec<Option<TrialFingerprint>> = vec![None; list.len()];
     for_each_trial(list, seconds, |i| {
@@ -202,6 +206,7 @@ fn untraced(list: &[(Dut, TrialSpec)], seconds: f64, report: &mut RunReport) {
         let start = Instant::now();
         let result = run_trial(spec);
         let wall = start.elapsed().as_secs_f64();
+        let scaled = cal.scale(CALIBRATION_SHARE, wall);
 
         let mut problems = check_trial(spec, &result.training);
         let print = TrialFingerprint::of(&result.training, result.modeled.total_seconds);
@@ -214,14 +219,16 @@ fn untraced(list: &[(Dut, TrialSpec)], seconds: f64, report: &mut RunReport) {
         report.operation(problems);
         let t = &mut tallies[i];
         t.walls.push(wall);
+        t.scaled.push(scaled);
         t.steps = result.training.total_steps as u64;
         t.solved = result.training.solved;
     });
 
-    // Each trial is represented by the mean of its executions (spread over
-    // the whole run, so host-speed drift averages out), and every trial of
-    // the panel counts once, so the composition is the same in every run.
+    // Each trial is represented by the mean of its executions, and every
+    // trial of the panel counts once, so the composition is the same in
+    // every run.
     let mut solved_total = 0;
+    let (mut rates, mut solve_times) = (Vec::new(), Vec::new());
     for dut in DUTS {
         let trials: Vec<&TrialTally> = list
             .iter()
@@ -229,33 +236,30 @@ fn untraced(list: &[(Dut, TrialSpec)], seconds: f64, report: &mut RunReport) {
             .filter(|((d, _), _)| d.tag == dut.tag)
             .map(|(_, t)| t)
             .collect();
-        let walls: Vec<f64> = trials.iter().map(|t| mean(&t.walls)).collect();
-        let steps: u64 = trials.iter().map(|t| t.steps).sum();
         let executions: u64 = trials.iter().map(|t| t.walls.len() as u64).sum();
+        let solved = trials.iter().filter(|t| t.solved).count();
+        solved_total += solved;
+        let raw = summarise(&trials, |t| &t.walls);
         report.metric(
             format!("train_steps_per_s.{}", dut.datapath),
-            steps as f64 / walls.iter().sum::<f64>(),
+            raw.0,
             "steps/s",
             executions,
         );
-        let solved: Vec<f64> = trials
-            .iter()
-            .zip(&walls)
-            .filter(|(t, _)| t.solved)
-            .map(|(_, &w)| w)
-            .collect();
-        solved_total += solved.len();
-        match median(&solved) {
+        match raw.1 {
             Some(m) => report.metric(
                 format!("time_to_solve_s.{}", dut.tag),
                 m,
                 "s",
-                solved.len() as u64,
+                solved as u64,
             ),
             None => report
                 .notes
                 .push(format!("{}: no trial of the panel solved", dut.tag)),
         }
+        let (rate, solve) = summarise(&trials, |t| &t.scaled);
+        rates.push(rate);
+        solve_times.extend(solve);
     }
     report.metric(
         "solve_rate",
@@ -263,6 +267,35 @@ fn untraced(list: &[(Dut, TrialSpec)], seconds: f64, report: &mut RunReport) {
         "fraction",
         list.len() as u64,
     );
+    // The end-to-end figures come from the scaled walls and weigh every
+    // design alike: a given relative speed-up of any one design moves them
+    // by the same amount.
+    report_slowdown(report, &cal);
+    let executions = report.attempted;
+    if let Some(rate) = geomean(&rates) {
+        report.metric("throughput", rate, "1/s", executions);
+    }
+    // Left unmeasured (a failed run) when a design solved no trial.
+    if solve_times.len() == DUTS.len() {
+        if let Some(t) = geomean(&solve_times) {
+            report.metric("op_time_ms", t * 1e3, "ms", solved_total as u64);
+        }
+    }
+}
+
+/// The environment steps per second of one design's trials and the median
+/// over its solved trials of their time; each trial's time is the mean of
+/// its executions' `walls`, so every trial of the panel counts once.
+fn summarise(trials: &[&TrialTally], walls: fn(&TrialTally) -> &[f64]) -> (f64, Option<f64>) {
+    let means: Vec<f64> = trials.iter().map(|t| mean(walls(t))).collect();
+    let steps: u64 = trials.iter().map(|t| t.steps).sum();
+    let solved: Vec<f64> = trials
+        .iter()
+        .zip(&means)
+        .filter(|(t, _)| t.solved)
+        .map(|(_, &w)| w)
+        .collect();
+    (steps as f64 / means.iter().sum::<f64>(), median(&solved))
 }
 
 /// One traced trial: its outcome and the spans around it.
@@ -366,12 +399,13 @@ fn traced(list: &[(Dut, TrialSpec)], seconds: f64, report: &mut RunReport) {
     let wall_s = phase.elapsed().as_secs_f64();
 
     let (mut accounted, mut traced_s, mut reference_s) = (loop_s, 0.0, 0.0);
+    let mut totals = LayerTotals::default();
     for dut in DUTS {
         let (Some(t), Some(p)) = (tallies.get(dut.tag), probes.get(dut.tag)) else {
             continue;
         };
         let d = dut.tag;
-        report_agent_layers(
+        totals.self_s += report_agent_layers(
             report,
             dut,
             HIDDEN,
@@ -393,11 +427,14 @@ fn traced(list: &[(Dut, TrialSpec)], seconds: f64, report: &mut RunReport) {
                 1,
             );
         }
+        totals.build_s += t.build_s;
+        totals.state_bytes = totals.state_bytes.max(t.state_bytes);
         accounted += t.reference_s + t.build_s + t.run_s;
         traced_s += t.build_s + t.run_s;
         reference_s += t.reference_s;
     }
-    report_env_layer(report, &env_probe);
+    let agents: Vec<&AgentProbe> = probes.values().map(|p| p.as_ref()).collect();
+    report_layer_totals(report, &agents, &env_probe, totals);
     let ops = report.attempted;
     reconcile(report, wall_s, accounted, ops);
     report.metric(

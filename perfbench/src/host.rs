@@ -63,27 +63,16 @@ fn cache_size(level: u32, kind: &str) -> Option<String> {
     None
 }
 
-/// Peak resident set size of this process so far, in MiB.
+/// Peak resident set size of this process so far, in MiB: `VmHWM` of
+/// `/proc/self/status`. (`getrusage`'s `ru_maxrss` would not do: it keeps
+/// the high-water mark of the parent image across `exec`, so under
+/// `cargo run` it reports cargo's memory.)
 #[cfg(target_os = "linux")]
 pub fn peak_rss_mb() -> Option<f64> {
-    // `struct rusage` on 64-bit Linux: two `timeval`s (2 × 16 bytes) then 14
-    // `long`s, the first of which is `ru_maxrss` in KiB — 18 words in all.
-    #[cfg(target_pointer_width = "64")]
-    {
-        extern "C" {
-            fn getrusage(who: i32, usage: *mut [i64; 18]) -> i32;
-        }
-        const RUSAGE_SELF: i32 = 0;
-        let mut usage = [0i64; 18];
-        // SAFETY: `usage` is a writable, 8-byte-aligned buffer of exactly
-        // `sizeof(struct rusage)` = 144 bytes on 64-bit Linux, which is all
-        // `getrusage` writes; `RUSAGE_SELF` is a valid `who`.
-        let rc = unsafe { getrusage(RUSAGE_SELF, &mut usage) };
-        if rc == 0 && usage[4] > 0 {
-            return Some(usage[4] as f64 / 1024.0);
-        }
-    }
-    None
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    (kib > 0.0).then_some(kib / 1024.0)
 }
 
 /// Peak resident set size is only read on Linux.

@@ -12,6 +12,7 @@
 //! `README.md` beside this package for why each workload exists and which
 //! end-to-end metric each per-layer metric should move.
 
+pub mod calib;
 pub mod fig5;
 pub mod host;
 pub mod population;
@@ -21,7 +22,6 @@ pub mod stats;
 
 use elmrl_core::batch::BatchAgent;
 use elmrl_core::designs::{Design, DesignConfig};
-use elmrl_core::ops::OpKind;
 use elmrl_fpga::{FpgaAgent, FpgaAgentConfig};
 use elmrl_gym::EnvSpec;
 use probe::{AgentProbe, EnvProbe};
@@ -157,86 +157,107 @@ impl RunReport {
     }
 }
 
-/// End-to-end metric names and units. Each workload reports the subset that
-/// it measures (see `README.md`).
-pub const END_TO_END: [(&str, &str); 12] = [
+/// End-to-end metric names and units, the same on every workload: each
+/// workload maps them onto its own measurement (see `README.md`) and also
+/// prints its per-design and per-quantile figures as detail lines.
+pub const END_TO_END: [(&str, &str); 4] = [
     ("setup_s", "s"),
-    ("time_to_solve_s.oselm", "s"),
-    ("time_to_solve_s.fpga", "s"),
-    ("time_to_solve_s.dqn", "s"),
-    ("train_steps_per_s.f64", "steps/s"),
-    ("train_steps_per_s.q20", "steps/s"),
-    ("train_steps_per_s.dqn", "steps/s"),
-    ("solve_rate", "fraction"),
-    ("serve_rps", "responses/s"),
-    ("serve_p50_us", "us"),
-    ("serve_p99_us", "us"),
+    ("throughput", "1/s"),
+    ("op_time_ms", "ms"),
     ("peak_rss_mb", "MB"),
 ];
 
-/// Every per-layer metric name and unit, in output order. A traced run
-/// reports all of them; a layer the workload does not exercise reads 0.
-pub fn per_layer_metrics() -> Vec<(String, &'static str)> {
-    let mut names = Vec::new();
-    for dut in [OSELM, FPGA, DQN] {
-        let d = dut.tag;
-        for (layer, unit) in [
-            ("core.act.busy_s", "s"),
-            ("core.act.calls", "count"),
-            ("core.observe.busy_s", "s"),
-            ("core.observe.calls", "count"),
-            ("core.end_episode.busy_s", "s"),
-            ("core.build_s", "s"),
-            ("core.trainer.self_s", "s"),
-            ("agent.state_bytes", "B"),
-        ] {
-            names.push((format!("{layer}.{d}"), unit));
-        }
-        for kind in OpKind::all() {
-            names.push((format!("ops.{}.count.{d}", kind.label()), "count"));
-        }
+/// Per-layer metric names and units, the same on every workload: each is a
+/// total over every traced agent (and environment) of the run. Per-design
+/// figures are printed as detail lines.
+pub const PER_LAYER: [(&str, &str); 14] = [
+    ("core.predict.busy_s", "s"),
+    ("core.predict.calls", "count"),
+    ("core.observe.busy_s", "s"),
+    ("core.observe.calls", "count"),
+    ("core.end_episode.busy_s", "s"),
+    ("core.build_s", "s"),
+    ("agent.state_bytes", "B"),
+    ("gym.step.busy_s", "s"),
+    ("gym.step.calls", "count"),
+    ("gym.reset.calls", "count"),
+    ("loop.self_s", "s"),
+    ("trace.wall_s", "s"),
+    ("trace.unattributed_share", "fraction"),
+    ("trace.overhead_share", "fraction"),
+];
+
+/// The metrics a run's result line carries: [`PER_LAYER`] for a traced
+/// run, [`END_TO_END`] otherwise.
+pub fn result_metrics(trace: bool) -> &'static [(&'static str, &'static str)] {
+    if trace {
+        &PER_LAYER
+    } else {
+        &END_TO_END
     }
-    for dut in [OSELM, FPGA] {
-        let d = dut.tag;
-        for (layer, unit) in [
-            ("rls.computed_bytes_per_update", "B"),
-            ("population.run_s", "s"),
-            ("population.steps", "count"),
-            ("population.episodes", "count"),
-            ("population.replicas_solved", "count"),
-        ] {
-            names.push((format!("{layer}.{d}"), unit));
-        }
-    }
-    for (name, unit) in [
-        ("gym.step.busy_s", "s"),
-        ("gym.step.calls", "count"),
-        ("gym.reset.calls", "count"),
-        ("serve.warmup_s", "s"),
-        ("serve.submit.busy_s", "s"),
-        ("serve.pump.busy_s", "s"),
-        ("serve.pump.self_s", "s"),
-        ("serve.predict.busy_s", "s"),
-        ("serve.predict.calls", "count"),
-        ("serve.respond.busy_s", "s"),
-        ("serve.batch_fill", "fraction"),
-        ("serve.rounds", "count"),
-        ("serve.requests", "count"),
-        ("serve.responses", "count"),
-        ("trace.wall_s", "s"),
-        ("trace.unattributed_share", "fraction"),
-        ("trace.overhead_share", "fraction"),
-    ] {
-        names.push((name.to_string(), unit));
-    }
-    names
 }
 
-/// Record the traced agent-layer metrics of one design: busy time and calls
+/// Totals of the traced layers of one run that the probes do not hold.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LayerTotals {
+    /// Wall seconds spent building the traced agents.
+    pub build_s: f64,
+    /// Largest `memory_footprint_bytes` of a traced agent.
+    pub state_bytes: usize,
+    /// Wall seconds of the driven loop outside every agent and environment
+    /// span.
+    pub self_s: f64,
+}
+
+/// Record the [`PER_LAYER`] totals (all but the `trace.*` ones) over every
+/// traced agent probe and the run's environment probe. Predict counts every
+/// Q-value computation (`act`, `act_row`, `act_batch_greedy`,
+/// `predict_batch(_into)`, `q_values`).
+pub fn report_layer_totals(
+    report: &mut RunReport,
+    agents: &[&AgentProbe],
+    env: &EnvProbe,
+    totals: LayerTotals,
+) {
+    let sum_s = |f: fn(&AgentProbe) -> f64| agents.iter().map(|p| f(p)).sum::<f64>();
+    let sum_n = |f: fn(&AgentProbe) -> u64| agents.iter().map(|p| f(p)).sum::<u64>();
+    let predict_n = sum_n(|p| p.act.calls() + p.predict.calls());
+    let observe_n = sum_n(|p| p.observe.calls());
+    let end_n = sum_n(|p| p.end_episode.calls());
+    report.metric(
+        "core.predict.busy_s",
+        sum_s(|p| p.act.busy_s() + p.predict.busy_s()),
+        "s",
+        predict_n,
+    );
+    report.metric("core.predict.calls", predict_n as f64, "count", 1);
+    report.metric(
+        "core.observe.busy_s",
+        sum_s(|p| p.observe.busy_s()),
+        "s",
+        observe_n,
+    );
+    report.metric("core.observe.calls", observe_n as f64, "count", 1);
+    report.metric(
+        "core.end_episode.busy_s",
+        sum_s(|p| p.end_episode.busy_s()),
+        "s",
+        end_n,
+    );
+    report.metric("core.build_s", totals.build_s, "s", 1);
+    report.metric("agent.state_bytes", totals.state_bytes as f64, "B", 1);
+    report.metric("gym.step.busy_s", env.step.busy_s(), "s", env.step.calls());
+    report.metric("gym.step.calls", env.step.calls() as f64, "count", 1);
+    report.metric("gym.reset.calls", env.reset.calls() as f64, "count", 1);
+    report.metric("loop.self_s", totals.self_s, "s", 1);
+}
+
+/// Record the traced agent-layer detail of one design: busy time and calls
 /// of act, observe and end_episode, build time, the trainer's self time
 /// (`wall_s` minus the agent's child spans and `env_s`), and the computed
 /// RLS bytes per update at width `hidden`. Adds a note with each layer's
-/// share of `wall_s`, the wall time of the traced `what`.
+/// share of `wall_s`, the wall time of the traced `what`. Returns the
+/// trainer's self time.
 pub fn report_agent_layers(
     report: &mut RunReport,
     dut: Dut,
@@ -244,7 +265,7 @@ pub fn report_agent_layers(
     p: &AgentProbe,
     (wall_s, build_s, env_s): (f64, f64, f64),
     what: &str,
-) {
+) -> f64 {
     let d = dut.tag;
     let self_s = wall_s - p.children_s() - env_s;
     for (layer, c) in [("act", &p.act), ("observe", &p.observe)] {
@@ -289,13 +310,32 @@ pub fn report_agent_layers(
         share(env_s),
         share(self_s),
     ));
+    self_s
 }
 
-/// Record the environment-layer metrics of a traced run.
-pub fn report_env_layer(report: &mut RunReport, e: &EnvProbe) {
-    report.metric("gym.step.busy_s", e.step.busy_s(), "s", e.step.calls());
-    report.metric("gym.step.calls", e.step.calls() as f64, "count", 1);
-    report.metric("gym.reset.calls", e.reset.calls() as f64, "count", 1);
+/// Run `setup` `repeats` times and record `setup_s`, the median set-up time
+/// at the reference host speed (see [`calib`]; calibrated by `cal`), with
+/// the raw median and the slowdown as detail.
+pub fn report_setups(
+    report: &mut RunReport,
+    repeats: usize,
+    cal: calib::Calibrator,
+    setup: impl FnMut() -> f64,
+) {
+    let (scaled, raw, slowdown) = calib::timed_setups(repeats, cal, setup);
+    let n = repeats as u64;
+    report.metric("setup_s", scaled, "s", n);
+    report.metric("setup_raw_s", raw, "s", n);
+    report.metric("host.setup_slowdown", slowdown, "ratio", n);
+}
+
+/// Record the slowdown `cal` measured over a run (`host.slowdown`) and
+/// return it: raw times are divided by it and rates multiplied by it to
+/// state them at the reference host speed.
+pub fn report_slowdown(report: &mut RunReport, cal: &calib::Calibrator) -> f64 {
+    let k = cal.slowdown().expect("the run ticked the calibrator");
+    report.metric("host.slowdown", k, "ratio", cal.ticks());
+    k
 }
 
 /// Share of the traced wall time that no span accounts for, above which a
@@ -324,31 +364,27 @@ pub fn reconcile(report: &mut RunReport, wall_s: f64, accounted_s: f64, spans: u
 }
 
 /// Format the final result line: one JSON object with `correct`,
-/// `attempted`, `failed` and `metrics`. `names` fixes which metrics appear
-/// and in what order; `fill_zero` reports an absent one as 0 (per-layer
-/// metrics of layers a workload does not exercise) instead of leaving it out.
-pub fn result_json(
-    report: &RunReport,
-    names: &[(String, &'static str)],
-    fill_zero: bool,
-) -> String {
+/// `attempted`, `failed` and `metrics`, the last holding exactly the
+/// metrics `names` in that order. A metric the run did not measure, or
+/// measured as a non-finite number, makes the run incorrect.
+pub fn result_json(report: &RunReport, names: &[(&str, &str)]) -> String {
     let mut parts = Vec::new();
-    let mut finite = true;
-    for (name, unit) in names {
+    let mut complete = true;
+    for &(name, unit) in names {
         let value = match report.metrics.get(name) {
-            Some(m) => m.value,
-            None if fill_zero => 0.0,
-            None => continue,
+            Some(m) if m.value.is_finite() => m.value,
+            _ => {
+                complete = false;
+                continue;
+            }
         };
-        finite &= value.is_finite();
-        let value = if value.is_finite() { value } else { 0.0 };
         parts.push(format!(
             "\"{name}\": {{\"value\": {value}, \"unit\": \"{unit}\"}}"
         ));
     }
     format!(
         "{{\"correct\": {}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{{}}}}}",
-        report.correct() && finite,
+        report.correct() && complete,
         report.attempted,
         report.failed,
         parts.join(", ")

@@ -8,12 +8,13 @@
 //! Prints a header (host, toolchain, seed), the metrics as a table with
 //! units and sample counts, and as its last line one JSON object with
 //! `correct`, `attempted`, `failed` and `metrics`. `--trace 0` reports the
-//! end-to-end metrics, `--trace 1` the per-layer ones. Exits 1 when an
-//! output check failed and 2 on a usage error.
+//! end-to-end metrics, `--trace 1` the per-layer ones; both are the same on
+//! every workload. Exits 1 when an output check failed or a metric was not
+//! measured, and 2 on a usage error.
 
 use elmrl_linalg::matmul::DEFAULT_PARALLEL_FLOP_THRESHOLD;
 use elmrl_perfbench::{
-    fig5, host, per_layer_metrics, population, result_json, serve, RunReport, END_TO_END, WORKLOADS,
+    fig5, host, population, result_json, result_metrics, serve, Metric, RunReport, WORKLOADS,
 };
 use std::process::ExitCode;
 
@@ -109,21 +110,29 @@ fn main() -> ExitCode {
     for note in &report.notes {
         println!("# {note}");
     }
-    let names: Vec<(String, &'static str)> = if args.trace {
-        per_layer_metrics()
-    } else {
-        END_TO_END
-            .iter()
-            .map(|&(n, u)| (n.to_string(), u))
-            .collect()
+    let names = result_metrics(args.trace);
+    for &(name, _) in names {
+        if !report.metrics.contains_key(name) {
+            report.error(format!("metric {name} was not measured"));
+        }
+    }
+    // The result line's metrics first, then the workload's detail figures.
+    let row = |name: &str, m: &Metric| {
+        println!(
+            "# {name:<40} {:>20.6} {:<12} n={}",
+            m.value, m.unit, m.samples
+        )
     };
     println!("# {:<40} {:>20} {:<12} samples", "metric", "value", "unit");
-    for (name, _) in &names {
+    for &(name, _) in names {
         if let Some(m) = report.metrics.get(name) {
-            println!(
-                "# {name:<40} {:>20.6} {:<12} n={}",
-                m.value, m.unit, m.samples
-            );
+            row(name, m);
+        }
+    }
+    println!("# detail:");
+    for (name, m) in &report.metrics {
+        if !names.iter().any(|&(n, _)| n == name) {
+            row(name, m);
         }
     }
     println!(
@@ -133,7 +142,7 @@ fn main() -> ExitCode {
     for e in &report.errors {
         println!("# FAILED CHECK: {e}");
     }
-    println!("{}", result_json(&report, &names, args.trace));
+    println!("{}", result_json(&report, names));
     if report.correct() {
         ExitCode::SUCCESS
     } else {

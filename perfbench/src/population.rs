@@ -12,10 +12,12 @@
 //! [`TimedEnv`]s — once bare, once wrapped — and checks both replays against
 //! the pass's report.
 
+use crate::calib::{Calibrator, CALIBRATION_SHARE};
 use crate::probe::{AgentProbe, EnvProbe, TimedAgent, TimedEnv};
-use crate::stats::{mean, median};
+use crate::stats::{geomean, mean};
 use crate::{
-    build_agent, reconcile, report_agent_layers, report_env_layer, Dut, RunReport, FPGA, OSELM,
+    build_agent, reconcile, report_agent_layers, report_layer_totals, report_setups,
+    report_slowdown, Dut, LayerTotals, RunReport, FPGA, OSELM,
 };
 use elmrl_core::batch::BatchAgent;
 use elmrl_core::designs::Design;
@@ -155,6 +157,7 @@ fn check_report(
 #[derive(Clone, Default)]
 struct PassTally {
     walls: Vec<f64>,
+    scaled: Vec<f64>,
     steps: u64,
     episodes: u64,
     solved: u64,
@@ -163,19 +166,20 @@ struct PassTally {
     replay_traced_s: f64,
     build_s: f64,
     env_s: f64,
+    state_bytes: usize,
+}
+
+/// The workload's calibrator: one thread per pool thread, as the shards
+/// run, on a matrix of the replicas' `P` size (L2-resident).
+fn calibrator() -> Calibrator {
+    Calibrator::new(rayon::current_num_threads(), HIDDEN)
 }
 
 /// Run the workload for `seconds` and report its metrics; `trace` selects
 /// the per-layer run.
 pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
     let mut report = RunReport::default();
-    let setups: Vec<f64> = (0..SETUP_REPEATS).map(|_| setup_once()).collect();
-    report.metric(
-        "setup_s",
-        median(&setups).expect("setups ran"),
-        "s",
-        setups.len() as u64,
-    );
+    report_setups(&mut report, SETUP_REPEATS, calibrator(), setup_once);
 
     let env_probe = Arc::new(EnvProbe::default());
     let probes: BTreeMap<&str, Arc<AgentProbe>> = DUTS
@@ -185,6 +189,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
     let list = pass_list(seed);
     let mut tallies = vec![PassTally::default(); list.len()];
     let mut loop_s = 0.0;
+    let mut cal = calibrator();
 
     // The whole list once, then cycle until the time is up.
     let budget = Duration::from_secs_f64(seconds);
@@ -196,6 +201,10 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
         let start = Instant::now();
         let rep = PopulationRunner::new(config.clone()).run();
         let run_s = start.elapsed().as_secs_f64();
+        if !trace {
+            let scaled = cal.scale(CALIBRATION_SHARE, run_s);
+            tallies[i].scaled.push(scaled);
+        }
 
         let checks = Instant::now();
         let (mut per_replica, run_level) = check_report(config, &rep);
@@ -212,21 +221,22 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
 
         if trace {
             for (r, problems) in rep.replicas.iter().zip(per_replica.iter_mut()) {
-                let (bare, bare_build_s, bare_s) = replay_replica(config, r.replica, None);
+                let bare = replay_replica(config, r.replica, None);
                 let env_before = env_probe.step.busy_s() + env_probe.reset.busy_s();
-                let (traced, build_s, traced_s) =
+                let traced =
                     replay_replica(config, r.replica, Some((&probes[dut.tag], &env_probe)));
                 t.env_s += env_probe.step.busy_s() + env_probe.reset.busy_s() - env_before;
                 let checks = Instant::now();
-                if !replay_matches(r, &bare) || !replay_matches(r, &traced) {
+                if !replay_matches(r, &bare.training) || !replay_matches(r, &traced.training) {
                     problems.push(format!(
                         "{} seed {} replica {}: replay differs from the pass",
                         dut.tag, config.seed, r.replica
                     ));
                 }
-                t.replay_bare_s += bare_build_s + bare_s;
-                t.replay_traced_s += traced_s;
-                t.build_s += build_s;
+                t.replay_bare_s += bare.build_s + bare.run_s;
+                t.replay_traced_s += traced.run_s;
+                t.build_s += traced.build_s;
+                t.state_bytes = t.state_bytes.max(traced.state_bytes);
                 loop_s += checks.elapsed().as_secs_f64();
             }
         }
@@ -239,6 +249,8 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
 
     let (mut replicas, mut solved) = (0, 0);
     let (mut accounted, mut bare_s, mut traced_s) = (loop_s, 0.0, 0.0);
+    let (mut rates, mut pass_times) = (Vec::new(), Vec::new());
+    let mut totals = LayerTotals::default();
     for dut in DUTS {
         let passes: Vec<&PassTally> = list
             .iter()
@@ -255,6 +267,9 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
         solved += sum(|t| t.solved);
         let d = dut.tag;
         if !trace {
+            let scaled_s: f64 = passes.iter().map(|t| mean(&t.scaled)).sum();
+            rates.push(steps as f64 / scaled_s);
+            pass_times.push(scaled_s / passes.len() as f64);
             report.metric(
                 format!("train_steps_per_s.{}", dut.datapath),
                 steps as f64 / run_s,
@@ -285,14 +300,20 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
             1,
         );
         let spans = (replay_traced_s, build_s, env_s);
-        report_agent_layers(&mut report, dut, HIDDEN, p, spans, "replayed replica");
+        totals.self_s +=
+            report_agent_layers(&mut report, dut, HIDDEN, p, spans, "replayed replica");
+        totals.build_s += build_s;
+        totals.state_bytes = totals
+            .state_bytes
+            .max(passes.iter().map(|t| t.state_bytes).max().unwrap_or(0));
         let all_walls: f64 = passes.iter().flat_map(|t| t.walls.iter()).sum();
         accounted += all_walls + sum_s(|t| t.replay_bare_s) + build_s + replay_traced_s;
         bare_s += sum_s(|t| t.replay_bare_s);
         traced_s += build_s + replay_traced_s;
     }
     if trace {
-        report_env_layer(&mut report, &env_probe);
+        let agents: Vec<&AgentProbe> = probes.values().map(|p| p.as_ref()).collect();
+        report_layer_totals(&mut report, &agents, &env_probe, totals);
         let ops = report.attempted;
         reconcile(&mut report, wall_s, accounted, ops);
         report.metric(
@@ -311,6 +332,15 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
             "fraction",
             replicas,
         );
+        // Every design weighs alike, as on `fig5-h64`; a pass is the time
+        // a user waits for one trained population. Both come from the
+        // pass times scaled to the reference host speed.
+        report_slowdown(&mut report, &cal);
+        let executions = report.attempted;
+        if let (Some(rate), Some(pass)) = (geomean(&rates), geomean(&pass_times)) {
+            report.metric("throughput", rate, "1/s", executions);
+            report.metric("op_time_ms", pass * 1e3, "ms", executions);
+        }
     }
     report
 }
@@ -331,16 +361,27 @@ fn setup_once() -> f64 {
     start.elapsed().as_secs_f64()
 }
 
+/// One replayed replica.
+pub struct Replay {
+    /// The training result.
+    pub training: TrainingResult,
+    /// Wall seconds of building the agent.
+    pub build_s: f64,
+    /// Wall seconds of `Trainer::run_vec`.
+    pub run_s: f64,
+    /// The agent's `memory_footprint_bytes` after training.
+    pub state_bytes: usize,
+}
+
 /// Replay the training half of one replica exactly as the population
 /// engine's `train_envs > 1` path runs it: agent from the replica's train
 /// stream, an E-slot `VecEnv`, `Trainer::run_vec`. With `probes` the agent
-/// and every environment are wrapped. Returns the result and the build and
-/// training wall seconds.
+/// and every environment are wrapped.
 pub fn replay_replica(
     config: &PopulationConfig,
     replica: usize,
     probes: Option<(&Arc<AgentProbe>, &Arc<EnvProbe>)>,
-) -> (TrainingResult, f64, f64) {
+) -> Replay {
     let spec = config.workload.spec_with(config.options);
     let trainer = Trainer::new(TrainerConfig {
         max_episodes: config.max_episodes,
@@ -373,8 +414,13 @@ pub fn replay_replica(
         ),
     };
     let start = Instant::now();
-    let result = trainer.run_vec(agent.as_mut(), &mut vec_env, &mut rng);
-    (result, build_s, start.elapsed().as_secs_f64())
+    let training = trainer.run_vec(agent.as_mut(), &mut vec_env, &mut rng);
+    Replay {
+        training,
+        build_s,
+        run_s: start.elapsed().as_secs_f64(),
+        state_bytes: agent.memory_footprint_bytes(),
+    }
 }
 
 /// Whether a replayed replica reproduces the pass's training outcome.

@@ -10,9 +10,14 @@
 //! read-only here (batched predict, no RLS writes); the coalescer, pool
 //! dispatch and session environment steps do the work.
 
+use crate::calib::{Calibrator, CALIBRATION_SHARE};
 use crate::probe::{union_within, AgentProbe, EnvProbe, SpanLog, TimedAgent, TimedEnv};
-use crate::stats::{median, ExactLatencies};
-use crate::{build_agent, reconcile, report_env_layer, RunReport, OSELM};
+use crate::stats::ExactLatencies;
+use crate::{
+    build_agent, reconcile, report_layer_totals, report_setups, report_slowdown, LayerTotals,
+    RunReport, OSELM,
+};
+use elmrl_core::agent::Agent;
 use elmrl_core::designs::Design;
 use elmrl_core::trainer::{Trainer, TrainerConfig};
 use elmrl_gym::{EnvSpec, Environment, VecEnv, Workload};
@@ -114,6 +119,16 @@ pub fn fold_digest(digest: &mut u64, r: &Response) {
 /// The FNV-1a offset basis the digest starts from.
 pub const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Workers whose agents are wrapped in [`TimedAgent`]s.
+pub struct TracedWorkers {
+    /// The workers.
+    pub workers: Vec<Worker>,
+    /// Wall seconds of building the agents (warm-up training excluded).
+    pub build_s: f64,
+    /// Largest `memory_footprint_bytes` of a worker's agent.
+    pub state_bytes: usize,
+}
+
 /// Build `workers` policy replicas exactly as `elmrl_serve::build_workers`
 /// does, but with every agent wrapped in a [`TimedAgent`] and the warm-up
 /// training run on a `VecEnv` of one [`TimedEnv`].
@@ -125,7 +140,7 @@ pub fn traced_workers(
     warmup_episodes: usize,
     agent_probe: &Arc<AgentProbe>,
     env_probe: &Arc<EnvProbe>,
-) -> Vec<Worker> {
+) -> TracedWorkers {
     let trainer = Trainer::new(TrainerConfig {
         max_episodes: warmup_episodes,
         reset_after_episodes: None,
@@ -134,10 +149,13 @@ pub fn traced_workers(
         solved_window: 100,
         reward_shaping: spec.reward_shaping,
     });
-    (0..workers)
+    let (mut build_s, mut state_bytes) = (0.0, 0);
+    let workers = (0..workers)
         .map(|_| {
             let mut build_rng = SmallRng::seed_from_u64(split_seed(seed, WORKER_STREAM));
+            let start = Instant::now();
             let inner = build_agent(DESIGN, spec, HIDDEN, &mut build_rng);
+            build_s += start.elapsed().as_secs_f64();
             let mut agent = TimedAgent::new(inner, agent_probe.clone());
             if warmup_episodes > 0 {
                 let mut train_rng = SmallRng::seed_from_u64(split_seed(seed, WORKER_STREAM + 1));
@@ -145,9 +163,15 @@ pub fn traced_workers(
                     Box::new(TimedEnv::new(spec.make_env(), env_probe.clone()));
                 trainer.run_vec(&mut agent, &mut VecEnv::new(vec![env]), &mut train_rng);
             }
+            state_bytes = state_bytes.max(agent.memory_footprint_bytes());
             Worker::new(Box::new(agent), max_batch, spec.observation_dim)
         })
-        .collect()
+        .collect();
+    TracedWorkers {
+        workers,
+        build_s,
+        state_bytes,
+    }
 }
 
 /// Per-response output checks: every ticket answered at most once, by a
@@ -204,16 +228,27 @@ struct Window {
     pump_self_s: f64,
     respond_s: f64,
     loop_s: f64,
+    calibration_s: f64,
+}
+
+impl Window {
+    /// Responses per second of serving, calibration ticks excluded.
+    fn rps(&self) -> f64 {
+        self.responses as f64 / (self.wall_s - self.calibration_s)
+    }
 }
 
 /// Drive `rig` for `seconds`, then drain. With `spans`, every call is timed
-/// and predict spans are subtracted from each pump.
+/// and predict spans are subtracted from each pump; with `cal`, calibration
+/// ticks follow the rounds (between a round's responses and the next
+/// submissions).
 fn serve_window(
     rig: &mut Rig,
     seconds: f64,
     latencies: &mut ExactLatencies,
     checker: &mut Checker,
     spans: Option<&SpanLog>,
+    mut cal: Option<&mut Calibrator>,
 ) -> Window {
     let mut w = Window::default();
     let budget = Duration::from_secs_f64(seconds);
@@ -244,6 +279,10 @@ fn serve_window(
         w.loop_s += (t3 - t2).as_secs_f64();
         w.respond_s += (t4 - t3).as_secs_f64();
         w.rounds += 1;
+        if let Some(cal) = cal.as_deref_mut() {
+            cal.follow(CALIBRATION_SHARE, (t4 - t0).as_secs_f64());
+            w.calibration_s += t4.elapsed().as_secs_f64();
+        }
     }
     w.wall_s = phase.elapsed().as_secs_f64();
 
@@ -302,42 +341,49 @@ fn finish_checks(report: &mut RunReport, rig: &Rig, checker: &Checker, answered:
     }
 }
 
+/// The workload's calibrator: one thread per pool thread, as the workers
+/// run, on a matrix of the served policy's width.
+fn calibrator() -> Calibrator {
+    Calibrator::new(rayon::current_num_threads(), HIDDEN)
+}
+
 /// Run the workload for `seconds` and report its metrics; `trace` selects
 /// the per-layer run.
 pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
     let spec = Workload::CartPole.spec();
     let mut report = RunReport::default();
-    let mut setups = Vec::new();
     let mut rig = None;
-    for _ in 0..SETUP_REPEATS {
+    report_setups(&mut report, SETUP_REPEATS, calibrator(), || {
         let (r, s) = setup_rig(&spec, seed);
-        setups.push(s);
         rig = Some(r);
-    }
+        s
+    });
     let mut rig = rig.expect("set up at least once");
-    report.metric(
-        "setup_s",
-        median(&setups).expect("setups ran"),
-        "s",
-        setups.len() as u64,
-    );
 
     let num_actions = spec.num_actions;
     if !trace {
         let mut latencies = ExactLatencies::new(LATENCY_CAP_US);
         let mut checker = Checker::new(num_actions);
-        let w = serve_window(&mut rig, seconds, &mut latencies, &mut checker, None);
-        finish_checks(&mut report, &rig, &checker, latencies.count());
-        report.metric(
-            "serve_rps",
-            w.responses as f64 / w.wall_s,
-            "responses/s",
-            w.responses,
+        let mut cal = calibrator();
+        let w = serve_window(
+            &mut rig,
+            seconds,
+            &mut latencies,
+            &mut checker,
+            None,
+            Some(&mut cal),
         );
+        finish_checks(&mut report, &rig, &checker, latencies.count());
+        // End-to-end figures at the reference host speed; the raw ones as
+        // detail.
+        let k = report_slowdown(&mut report, &cal);
+        report.metric("serve_rps", w.rps(), "responses/s", w.responses);
+        report.metric("throughput", w.rps() * k, "1/s", w.responses);
         let n = latencies.count();
         if let (Some(p50), Some(p99)) = (latencies.quantile(0.50), latencies.quantile(0.99)) {
             report.metric("serve_p50_us", p50 as f64, "us", n);
             report.metric("serve_p99_us", p99 as f64, "us", n);
+            report.metric("op_time_ms", p50 as f64 / k * 1e-3, "ms", n);
         }
         return report;
     }
@@ -351,7 +397,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
     });
     let env_probe = Arc::new(EnvProbe::default());
     let start = Instant::now();
-    let workers = traced_workers(
+    let traced = traced_workers(
         &spec,
         WORKERS,
         MAX_BATCH,
@@ -366,14 +412,21 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
         "s",
         WORKERS as u64,
     );
-    let mut traced_rig = Rig::new(&spec, SESSIONS, seed, workers, MAX_BATCH, false);
+    let mut traced_rig = Rig::new(&spec, SESSIONS, seed, traced.workers, MAX_BATCH, false);
     for _ in 0..WARMUP_ROUNDS {
         traced_rig.round(true, |_| {});
     }
 
     let mut latencies = ExactLatencies::new(LATENCY_CAP_US);
     let mut checker = Checker::new(num_actions);
-    let bare = serve_window(&mut rig, seconds / 2.0, &mut latencies, &mut checker, None);
+    let bare = serve_window(
+        &mut rig,
+        seconds / 2.0,
+        &mut latencies,
+        &mut checker,
+        None,
+        None,
+    );
     finish_checks(&mut report, &rig, &checker, latencies.count());
 
     let (calls0, busy0) = (agent_probe.predict.calls(), agent_probe.predict.busy_s());
@@ -388,6 +441,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
         &mut latencies,
         &mut checker,
         log,
+        None,
     );
     finish_checks(&mut report, &traced_rig, &checker, latencies.count());
     let calls = agent_probe.predict.calls() - calls0;
@@ -409,7 +463,12 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
     let requests = traced_rig.engine.stats().requests - requests0;
     report.metric("serve.requests", requests as f64, "count", 1);
     report.metric("serve.responses", latencies.count() as f64, "count", 1);
-    report_env_layer(&mut report, &env_probe);
+    let totals = LayerTotals {
+        build_s: traced.build_s,
+        state_bytes: traced.state_bytes,
+        self_s: w.pump_self_s,
+    };
+    report_layer_totals(&mut report, &[&agent_probe], &env_probe, totals);
     let share = |s: f64| 100.0 * s / w.wall_s;
     report.notes.push(format!(
         "share of traced window: submit {:.1}%, pump {:.1}% (predict {:.1}% summed over workers, pump self {:.1}%), respond {:.1}%, bench loop {:.1}%",
@@ -422,10 +481,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunReport {
     ));
     let accounted = w.submit_s + w.pump_s + w.respond_s + w.loop_s;
     reconcile(&mut report, w.wall_s, accounted, w.rounds);
-    let (bare_rps, traced_rps) = (
-        bare.responses as f64 / bare.wall_s,
-        w.responses as f64 / w.wall_s,
-    );
+    let (bare_rps, traced_rps) = (bare.rps(), w.rps());
     report.metric(
         "trace.overhead_share",
         bare_rps / traced_rps - 1.0,

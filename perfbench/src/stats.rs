@@ -1,4 +1,5 @@
-//! Sample statistics of the benchmark: medians and exact latency quantiles.
+//! Sample statistics of the benchmark: medians, geometric means and exact
+//! latency quantiles.
 
 /// Median of `values` (mean of the two middle values for an even count);
 /// `None` for an empty sample.
@@ -20,6 +21,17 @@ pub fn median(values: &[f64]) -> Option<f64> {
 pub fn mean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "mean of an empty sample");
     values.iter().sum::<f64>() / values.len() as f64
+}
+
+/// Geometric mean of a sample of positive values, so that a given relative
+/// change of any one value moves it by the same amount; `None` for an empty
+/// sample.
+pub fn geomean(values: &[f64]) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
+    Some((log_sum / values.len() as f64).exp())
 }
 
 /// Exact distribution of integer microsecond latencies: one count per
@@ -84,6 +96,15 @@ mod tests {
         assert_eq!(median(&[]), None);
         assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
+    }
+
+    #[test]
+    fn geomean_weighs_relative_changes_alike() {
+        assert_eq!(geomean(&[]), None);
+        let g = geomean(&[2.0, 8.0]).expect("non-empty");
+        assert!((g - 4.0).abs() < 1e-12);
+        let faster = geomean(&[4.0, 8.0]).expect("non-empty");
+        assert!((faster / g - 2f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use elmrl_perfbench::fig5::{traced_trial, TrialFingerprint};
 use elmrl_perfbench::population::{pass_config, replay_matches, replay_replica};
 use elmrl_perfbench::probe::{AgentProbe, EnvProbe, SpanLog};
 use elmrl_perfbench::serve::{fold_digest, traced_workers, Rig, DESIGN, DIGEST_BASIS, HIDDEN};
-use elmrl_perfbench::{per_layer_metrics, DQN, END_TO_END, FPGA, OSELM};
+use elmrl_perfbench::{DQN, END_TO_END, FPGA, OSELM, PER_LAYER};
 use elmrl_population::PopulationRunner;
 use elmrl_serve::{run_serve, ServeConfig};
 use std::sync::Arc;
@@ -56,11 +56,14 @@ fn replayed_replicas_equal_the_population_report() {
         let agent_probe = Arc::new(AgentProbe::default());
         let env_probe = Arc::new(EnvProbe::default());
         for outcome in &report.replicas {
-            let (bare, _, _) = replay_replica(&config, outcome.replica, None);
-            let (traced, _, _) =
-                replay_replica(&config, outcome.replica, Some((&agent_probe, &env_probe)));
-            assert!(replay_matches(outcome, &bare), "{} bare", dut.tag);
-            assert!(replay_matches(outcome, &traced), "{} traced", dut.tag);
+            let bare = replay_replica(&config, outcome.replica, None);
+            let traced = replay_replica(&config, outcome.replica, Some((&agent_probe, &env_probe)));
+            assert!(replay_matches(outcome, &bare.training), "{} bare", dut.tag);
+            assert!(
+                replay_matches(outcome, &traced.training),
+                "{} traced",
+                dut.tag
+            );
         }
         // The batched entry points were taken, not the per-sample fallbacks
         // behind `Agent::act` / `Agent::observe`.
@@ -92,7 +95,7 @@ fn traced_serve_workers_reproduce_the_virtual_clock_digest() {
             ..AgentProbe::default()
         });
         let env_probe = Arc::new(EnvProbe::default());
-        let pool = traced_workers(
+        let traced = traced_workers(
             &spec,
             workers,
             config.max_batch,
@@ -105,7 +108,7 @@ fn traced_serve_workers_reproduce_the_virtual_clock_digest() {
             &spec,
             config.sessions,
             config.seed,
-            pool,
+            traced.workers,
             config.max_batch,
             true,
         );
@@ -150,9 +153,9 @@ fn benchmark_json_names_the_metrics_the_program_prints() {
         .map(|&(n, u)| (n.to_string(), u.to_string()))
         .collect();
     assert_eq!(names("end_to_end"), e2e);
-    let layers: Vec<(String, String)> = per_layer_metrics()
-        .into_iter()
-        .map(|(n, u)| (n, u.to_string()))
+    let layers: Vec<(String, String)> = PER_LAYER
+        .iter()
+        .map(|&(n, u)| (n.to_string(), u.to_string()))
         .collect();
     assert_eq!(names("per_layer"), layers);
 }
