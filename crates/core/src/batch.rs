@@ -18,15 +18,16 @@
 //! kernels accumulate each output row independently of the other rows).
 //!
 //! [`BatchAgent::predict_batch`] is a pure forward pass and does not touch
-//! the per-operation counters behind the Figure 5/6 breakdowns; the
-//! [`BatchAgent::act_row`] policy overrides *do* record the same prediction
-//! counters as [`Agent::act`], so modeled execution times stay comparable
-//! between the scalar and E-parallel training drivers.
+//! the per-operation counters behind the Figure 5/6 breakdowns;
+//! [`BatchAgent::act_row`] *does* record the same prediction counters as
+//! [`Agent::act`], so modeled execution times stay comparable between the
+//! scalar and E-parallel training drivers.
 
 use crate::agent::{Agent, Observation};
 use crate::encoding::{ActionEncoding, StateActionEncoder};
 use crate::policy::argmax;
 use elmrl_elm::model::ElmModel;
+use elmrl_elm::HiddenActivation;
 use elmrl_linalg::Matrix;
 use rand::rngs::SmallRng;
 
@@ -71,14 +72,13 @@ pub trait BatchAgent: Agent {
     /// Training-time ε-greedy action for the single packed state in
     /// `state_row` (`1 × state_dim`): the population engine's per-tick
     /// behaviour policy. The default delegates to the scalar
-    /// [`Agent::act`]; the three evaluated networks override it so the Q
-    /// evaluation goes through [`BatchAgent::predict_batch`]'s batched
-    /// kernel (one stacked matmul hoisting the shared `state·α` projection
-    /// instead of one matvec chain per action). Because `predict_batch`
-    /// matches `q_values` bit for bit and the policy draws from `rng`
-    /// identically, overrides select exactly the action `act` would — only
-    /// cheaper — and record the same prediction counters as `act`, so the
-    /// Figure 5/6 modeled times stay design-comparable at any E.
+    /// [`Agent::act`], which for the ELM-family networks already evaluates
+    /// all actions as a one-row batch through [`elm_q_batch_into`] (and for
+    /// the FPGA agent through one stacked core call). DQN overrides it to
+    /// reuse its batched forward. Overrides must select exactly the action
+    /// `act` would — same Q bit for bit, same RNG draws — and record the
+    /// same prediction counters as `act`, so the Figure 5/6 modeled times
+    /// stay design-comparable at any E.
     fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
         self.act(state_row.row(0), rng)
     }
@@ -124,7 +124,10 @@ pub trait BatchAgent: Agent {
 /// reproduces the scalar path's `((…((0 + x₀α₀ⱼ) + …) + x_{n-1}α_{n-1}ⱼ)) +
 /// bⱼ` operation-for-operation: the result is **bit-for-bit** equal to
 /// [`ElmModel::predict_single`] per pair, just `A×` cheaper on the shared
-/// columns. One-hot encodings take the generic stacked-input route instead.
+/// columns. With a single output (the paper's simplified output model) the
+/// activation and `H·β` are fused per pair, so neither the `(B·A) × Ñ`
+/// hidden matrix nor the stacked outputs are ever written. One-hot
+/// encodings and multi-output models take the generic stacked route.
 pub(crate) fn elm_q_batch(
     encoder: &StateActionEncoder,
     model: &ElmModel<f64>,
@@ -144,26 +147,49 @@ pub(crate) fn elm_q_batch(
 ///
 /// Public since PR 7: the FPGA agent evaluates its float target network
 /// through the same kernel, so its batched observe path shares this scratch.
+/// The scalar per-state evaluations ([`BatchQScratch::q_single`]) run through
+/// it as one-row batches.
 #[derive(Clone, Debug, Default)]
 pub struct BatchQScratch {
-    /// `B × Ñ` — the shared `state·α_top` projection (scalar encoding).
+    /// `1 × state_dim` staging row of [`BatchQScratch::q_single`].
+    state: Matrix<f64>,
+    /// `B × Ñ` — the shared `state·α_top` projection (scalar encoding);
+    /// doubles as the stacked `(B·A) × input` encoding under one-hot.
     shared: Matrix<f64>,
-    /// `(B·A) × Ñ` — pre-activations, activated in place into `H`; doubles
-    /// as the stacked `(B·A) × input` encoding under one-hot.
+    /// `(B·A) × Ñ` — pre-activations, activated in place into `H` (generic
+    /// route only; the fused single-output kernel never builds it).
     pre: Matrix<f64>,
-    /// `(B·A) × 1` — the stacked network outputs `H·β`.
+    /// `(B·A) × m` — the stacked network outputs `H·β` (generic route only).
     y: Matrix<f64>,
     /// Packed-panel buffer of the blocked matmul engine (PR 9): holds one
     /// transposed `PACK_MR × PACK_KC` lhs slice, reused across calls.
     pack: Vec<f64>,
     /// `B × A` — the folded per-state Q matrix (the result).
-    pub(crate) q: Matrix<f64>,
+    q: Matrix<f64>,
 }
 
 impl BatchQScratch {
     /// The `B × A` Q matrix left by the last [`elm_q_batch_into`] call.
     pub fn q(&self) -> &Matrix<f64> {
         &self.q
+    }
+
+    /// Q(state, ·) for one state, evaluated as a one-row batch through
+    /// [`elm_q_batch_into`] — bit-for-bit the per-action
+    /// [`ElmModel::predict_single`] loop, allocation-free at steady state.
+    /// This is how every scalar path (act, target Q, `q_values`) evaluates.
+    pub fn q_single(
+        &mut self,
+        encoder: &StateActionEncoder,
+        model: &ElmModel<f64>,
+        state: &[f64],
+    ) -> &[f64] {
+        let mut row = std::mem::take(&mut self.state);
+        row.resize_zeroed(1, state.len());
+        row.set_row(0, state);
+        elm_q_batch_into(encoder, model, &row, self);
+        self.state = row;
+        self.q.row(0)
     }
 }
 
@@ -184,15 +210,42 @@ pub fn elm_q_batch_into(
     match encoder.encoding() {
         ActionEncoding::Scalar => {
             let alpha = model.alpha(); // (sd + 1) × Ñ
-            let bias = model.bias(); // 1 × Ñ
+            let bias = model.bias().row(0);
             let nh = alpha.cols();
-            // shared = states · α[0..sd, ..] — the historical path copied
-            // the top rows into a submatrix first, then hand-rolled the
-            // i-k-j loop against α's rows. The prefix form of the blocked
-            // packed engine performs the identical ascending-p accumulation
-            // against α's top `sd` rows without materialising either the
-            // copy or the full product (α carries the extra action row).
-            states.matmul_prefix_packed_into(alpha, sd, &mut scratch.pack, &mut scratch.shared);
+            // shared = states · α[0..sd, ..] through the naive i-k-j loop
+            // against α's top `sd` rows (α carries the extra action row, so
+            // the full product never exists). At k = sd ≈ 4 the packed
+            // engine's panel set-up costs more than the product itself; the
+            // per-element ascending-p accumulation is the same either way.
+            scratch.shared.resize_zeroed(b, nh);
+            for i in 0..b {
+                let s_row = scratch.shared.row_mut(i);
+                for (p, &x) in states.row(i).iter().enumerate() {
+                    for (o, &w) in s_row.iter_mut().zip(alpha.row(p)) {
+                        *o += x * w;
+                    }
+                }
+            }
+            if model.output_dim() == 1 {
+                let kernel = FusedScalarQ {
+                    shared: &scratch.shared,
+                    alpha_action: alpha.row(sd),
+                    bias,
+                    beta: model.beta().as_slice(),
+                };
+                let q = &mut scratch.q;
+                q.resize_zeroed(b, a);
+                // One monomorphised loop per activation: no per-element match.
+                use HiddenActivation as G;
+                match model.activation() {
+                    G::ReLU => kernel.run(|x| G::ReLU.apply(x), q),
+                    G::LeakyReLU => kernel.run(|x| G::LeakyReLU.apply(x), q),
+                    G::HardTanh => kernel.run(|x| G::HardTanh.apply(x), q),
+                    G::HardSigmoid => kernel.run(|x| G::HardSigmoid.apply(x), q),
+                    G::Identity => kernel.run(|x| G::Identity.apply(x), q),
+                }
+                return;
+            }
             scratch.pre.resize_zeroed(b * a, nh);
             for i in 0..b {
                 let s_row = scratch.shared.row(i);
@@ -200,7 +253,7 @@ pub fn elm_q_batch_into(
                     let af = action as f64;
                     let row = scratch.pre.row_mut(i * a + action);
                     for j in 0..nh {
-                        row[j] = (s_row[j] + af * alpha[(sd, j)]) + bias[(0, j)];
+                        row[j] = (s_row[j] + af * alpha[(sd, j)]) + bias[j];
                     }
                 }
             }
@@ -226,6 +279,59 @@ pub fn elm_q_batch_into(
         let q_row = scratch.q.row_mut(i);
         for (action, v) in q_row.iter_mut().enumerate() {
             *v = scratch.y[(i * a + action, 0)];
+        }
+    }
+}
+
+/// The fused output layer of the scalar-encoded, single-output network:
+/// `q[r] = Σ_j G((shared[i, j] + a·α_a[j]) + b[j]) · β[j]` for the flat
+/// `(state i, action a)` pair `r = i·A + a`, without materialising the
+/// `(B·A) × Ñ` hidden matrix. Every pair starts from `0.0` and adds its
+/// terms in ascending `j` with the grouping of the unfused path, so each Q is
+/// bit-for-bit the pre-activation + activation + `H·β` sequence of
+/// [`ElmModel::predict_single`]. Four pairs are in flight at once: a single
+/// accumulator chain would be bound by add latency.
+struct FusedScalarQ<'a> {
+    /// `B × Ñ` state projections `states · α[0..sd, ..]`.
+    shared: &'a Matrix<f64>,
+    /// α's action row `α[sd, ..]`.
+    alpha_action: &'a [f64],
+    /// The hidden bias `b`.
+    bias: &'a [f64],
+    /// β as a flat `Ñ`-vector (single output).
+    beta: &'a [f64],
+}
+
+impl FusedScalarQ<'_> {
+    /// Fill the (already shaped) `B × A` Q matrix with activation `act`.
+    fn run(&self, act: impl Fn(f64) -> f64, q: &mut Matrix<f64>) {
+        let nh = self.beta.len();
+        let (w, c, beta) = (&self.alpha_action[..nh], &self.bias[..nh], &self.beta[..nh]);
+        let a = q.cols();
+        let q = q.as_mut_slice();
+        let done = q.len() - q.len() % 4;
+        let pair = |r: usize| (&self.shared.row(r / a)[..nh], (r % a) as f64);
+        let mut quads = q.chunks_exact_mut(4);
+        for (n, out) in (&mut quads).enumerate() {
+            let r = 4 * n;
+            let ((s0, a0), (s1, a1), (s2, a2), (s3, a3)) =
+                (pair(r), pair(r + 1), pair(r + 2), pair(r + 3));
+            let (mut q0, mut q1, mut q2, mut q3) = (0.0, 0.0, 0.0, 0.0);
+            for j in 0..nh {
+                q0 += act((s0[j] + a0 * w[j]) + c[j]) * beta[j];
+                q1 += act((s1[j] + a1 * w[j]) + c[j]) * beta[j];
+                q2 += act((s2[j] + a2 * w[j]) + c[j]) * beta[j];
+                q3 += act((s3[j] + a3 * w[j]) + c[j]) * beta[j];
+            }
+            out.copy_from_slice(&[q0, q1, q2, q3]);
+        }
+        for (n, out) in quads.into_remainder().iter_mut().enumerate() {
+            let (s, af) = pair(done + n);
+            let mut acc = 0.0;
+            for j in 0..nh {
+                acc += act((s[j] + af * w[j]) + c[j]) * beta[j];
+            }
+            *out = acc;
         }
     }
 }

@@ -100,9 +100,8 @@ pub struct ElmQNet {
     online: Elm<f64>,
     target: ElmModel<f64>,
     buffer: Vec<Observation>,
-    /// Prediction workspaces shared with the OS-ELM agent's hot path.
-    scratch: crate::oselm_qnet::QScratch,
-    /// Batched-prediction workspaces for [`BatchAgent::predict_batch_into`].
+    /// Q-evaluation workspaces of `act`, `q_values` and
+    /// [`BatchAgent::predict_batch_into`].
     batch_q: BatchQScratch,
     ops: OpCounts,
     trained_once: bool,
@@ -120,7 +119,6 @@ impl ElmQNet {
             online,
             target,
             buffer: Vec::with_capacity(config.hidden_dim),
-            scratch: Default::default(),
             batch_q: Default::default(),
             ops: OpCounts::new(),
             config,
@@ -133,12 +131,13 @@ impl ElmQNet {
         self.trained_once
     }
 
+    /// Allocating Q(state, ·) through an arbitrary model (online or
+    /// target) — a one-row batch through the shared kernel.
+    #[cfg(test)]
     fn q_for(&self, model: &ElmModel<f64>, state: &[f64]) -> Vec<f64> {
-        self.encoder
-            .encode_all_actions(state)
-            .iter()
-            .map(|input| model.predict_single(input)[0])
-            .collect()
+        elm_q_batch(&self.encoder, model, &Matrix::row_from_slice(state))
+            .row(0)
+            .to_vec()
     }
 
     fn run_batch_training(&mut self) {
@@ -152,7 +151,11 @@ impl ElmQNet {
             for (j, &v) in encoded.iter().enumerate() {
                 x[(i, j)] = v;
             }
-            let max_next = max_q(&self.q_for(&self.target, &obs.next_state));
+            let max_next = max_q(self.batch_q.q_single(
+                &self.encoder,
+                &self.target,
+                &obs.next_state,
+            ));
             t[(i, 0)] = self.config.target.target(obs.reward, max_next, obs.done);
         }
         // The pseudo-inverse route tolerates rank deficiency, so a failure is
@@ -181,19 +184,19 @@ impl Agent for ElmQNet {
             encoder,
             policy,
             online,
-            scratch,
+            batch_q,
             ops,
             trained_once,
             ..
         } = self;
-        crate::oselm_qnet::q_into(encoder, online.model(), state, scratch);
+        let q = batch_q.q_single(encoder, online.model(), state);
         let kind = if *trained_once {
             OpKind::PredictSeq
         } else {
             OpKind::PredictInit
         };
         ops.record_n(kind, config.num_actions as u64, start.elapsed());
-        policy.select(&scratch.q, rng)
+        policy.select(q, rng)
     }
 
     fn observe(&mut self, obs: &Observation, _rng: &mut SmallRng) {
@@ -223,7 +226,9 @@ impl Agent for ElmQNet {
     }
 
     fn q_values(&mut self, state: &[f64]) -> Vec<f64> {
-        self.q_for(self.online.model(), state)
+        self.batch_q
+            .q_single(&self.encoder, self.online.model(), state)
+            .to_vec()
     }
 
     fn memory_footprint_bytes(&self) -> usize {
@@ -279,24 +284,6 @@ impl BatchAgent for ElmQNet {
         let q = self.batch_q.q();
         out.resize_zeroed(q.rows(), q.cols());
         out.as_mut_slice().copy_from_slice(q.as_slice());
-    }
-
-    /// ε-greedy through the batched kernel: same Q (bit for bit), same RNG
-    /// draws, same action as [`Agent::act`] — minus the per-action matvecs.
-    /// Records the same per-action prediction counters as [`Agent::act`],
-    /// so modeled execution times stay comparable between the scalar and
-    /// E-parallel drivers.
-    fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
-        let start = Instant::now();
-        let q = self.predict_batch(state_row);
-        let kind = if self.trained_once {
-            OpKind::PredictSeq
-        } else {
-            OpKind::PredictInit
-        };
-        self.ops
-            .record_n(kind, self.config.num_actions as u64, start.elapsed());
-        self.policy.select(q.row(0), rng)
     }
 }
 

@@ -163,52 +163,17 @@ impl OsElmQNetConfig {
     }
 }
 
-/// Reusable per-agent workspaces for the prediction hot path: encoding
-/// staging, per-action Q buffer, and the matrices of one forward pass. All
-/// keep their allocations across steps, so steady-state action selection
-/// and the sequential training update perform zero matrix heap allocations
-/// (asserted by the counting-allocator test in `tests/alloc_steady_state.rs`).
+/// Reusable per-agent workspaces: every Q evaluation (scalar `act`, the
+/// sequential update's target Q, `predict_batch_into` and the batched
+/// tick's target forward) runs through `q`, and the rest stage the RLS
+/// chunk. All keep their allocations across steps and ticks, so the scalar
+/// and the E > 1 steady states perform zero heap allocations inside the
+/// agent (asserted by the counting-allocator test in
+/// `tests/alloc_steady_state.rs`).
 #[derive(Clone, Debug, Default)]
-pub(crate) struct QScratch {
+struct Scratch {
     /// Encoded `(state, action)` input.
-    pub(crate) enc: Vec<f64>,
-    /// Per-action Q-values of the last evaluation.
-    pub(crate) q: Vec<f64>,
-    /// `1 × input` staging row.
-    x: Matrix<f64>,
-    /// `1 × Ñ` hidden activation.
-    h: Matrix<f64>,
-    /// `1 × 1` network output.
-    y: Matrix<f64>,
-}
-
-/// Evaluate Q(state, ·) through the workspaces — bit-for-bit equal to the
-/// historical per-action [`ElmModel::predict_single`] loop, leaving the
-/// result in `scratch.q`.
-pub(crate) fn q_into(
-    encoder: &StateActionEncoder,
-    model: &ElmModel<f64>,
-    state: &[f64],
-    scratch: &mut QScratch,
-) {
-    scratch.q.clear();
-    for action in 0..encoder.num_actions() {
-        encoder.encode_into(state, action, &mut scratch.enc);
-        scratch.x.resize_zeroed(1, scratch.enc.len());
-        scratch.x.set_row(0, &scratch.enc);
-        model.predict_into(&scratch.x, &mut scratch.h, &mut scratch.y);
-        scratch.q.push(scratch.y[(0, 0)]);
-    }
-}
-
-/// Reusable workspaces for the batched *training* path
-/// ([`BatchAgent::observe_batch`]): gating indices, the packed next-state
-/// matrix, the batched target-network Q evaluation and the `seq_train_batch`
-/// chunk. All keep their allocations across ticks, so the E > 1 steady state
-/// performs zero heap allocations inside the agent (asserted by the
-/// counting-allocator test in `tests/alloc_steady_state.rs`).
-#[derive(Clone, Debug, Default)]
-struct BatchObserveScratch {
+    enc: Vec<f64>,
     /// Indices (into the tick's batch) that passed the random-update gate.
     selected: Vec<usize>,
     /// `B × state_dim` packed next states of the gated transitions.
@@ -217,7 +182,7 @@ struct BatchObserveScratch {
     x: Matrix<f64>,
     /// `B × 1` Q-targets.
     t: Matrix<f64>,
-    /// Workspaces of the batched target-network forward.
+    /// Workspaces of the batched Q evaluation.
     q: BatchQScratch,
 }
 
@@ -245,10 +210,9 @@ pub struct OsElmQNet {
     target: ElmModel<f64>,
     /// Buffer `D` used only to assemble the initial-training chunk.
     buffer: Vec<Observation>,
-    /// Prediction workspaces (never observable through the public API).
-    scratch: QScratch,
-    /// Batched-training workspaces (never observable through the public API).
-    bscratch: BatchObserveScratch,
+    /// Prediction and training workspaces (never observable through the
+    /// public API).
+    scratch: Scratch,
     ops: OpCounts,
     name: String,
 }
@@ -266,8 +230,7 @@ impl OsElmQNet {
             online,
             target,
             buffer: Vec::with_capacity(config.hidden_dim),
-            scratch: QScratch::default(),
-            bscratch: BatchObserveScratch::default(),
+            scratch: Scratch::default(),
             ops: OpCounts::new(),
             config,
             name,
@@ -308,12 +271,13 @@ impl OsElmQNet {
         )
     }
 
+    /// Allocating Q(state, ·) through an arbitrary model (θ₁ or θ₂) — a
+    /// one-row batch through the same kernel as every other evaluation.
+    #[cfg(test)]
     fn q_for(&self, model: &ElmModel<f64>, state: &[f64]) -> Vec<f64> {
-        self.encoder
-            .encode_all_actions(state)
-            .iter()
-            .map(|input| model.predict_single(input)[0])
-            .collect()
+        elm_q_batch(&self.encoder, model, &Matrix::row_from_slice(state))
+            .row(0)
+            .to_vec()
     }
 
     fn run_initial_training(&mut self, rng: &mut SmallRng) {
@@ -328,7 +292,11 @@ impl OsElmQNet {
             for (j, &v) in encoded.iter().enumerate() {
                 x[(i, j)] = v;
             }
-            let max_next = max_q(&self.q_for(&self.target, &obs.next_state));
+            let max_next = max_q(self.scratch.q.q_single(
+                &self.encoder,
+                &self.target,
+                &obs.next_state,
+            ));
             t[(i, 0)] = self.config.target.target(obs.reward, max_next, obs.done);
         }
         // The plain OS-ELM design can hit a singular Gram matrix; the
@@ -358,8 +326,7 @@ impl OsElmQNet {
             ops,
             ..
         } = self;
-        q_into(encoder, target, &obs.next_state, scratch);
-        let max_next = max_q(&scratch.q);
+        let max_next = max_q(scratch.q.q_single(encoder, target, &obs.next_state));
         let target_q = config.target.target(obs.reward, max_next, obs.done);
         encoder.encode_into(&obs.state, obs.action, &mut scratch.enc);
         if online.seq_train_single(&scratch.enc, &[target_q]).is_err() {
@@ -390,14 +357,14 @@ impl Agent for OsElmQNet {
             ops,
             ..
         } = self;
-        q_into(encoder, online.model(), state, scratch);
+        let q = scratch.q.q_single(encoder, online.model(), state);
         let kind = if online.is_initialized() {
             OpKind::PredictSeq
         } else {
             OpKind::PredictInit
         };
         ops.record_n(kind, config.num_actions as u64, start.elapsed());
-        policy.select(&scratch.q, rng)
+        policy.select(q, rng)
     }
 
     fn observe(&mut self, obs: &Observation, rng: &mut SmallRng) {
@@ -436,7 +403,10 @@ impl Agent for OsElmQNet {
     }
 
     fn q_values(&mut self, state: &[f64]) -> Vec<f64> {
-        self.q_for(self.online.model(), state)
+        self.scratch
+            .q
+            .q_single(&self.encoder, self.online.model(), state)
+            .to_vec()
     }
 
     fn memory_footprint_bytes(&self) -> usize {
@@ -487,29 +457,11 @@ impl BatchAgent for OsElmQNet {
             &self.encoder,
             self.online.model(),
             states,
-            &mut self.bscratch.q,
+            &mut self.scratch.q,
         );
-        let q = self.bscratch.q.q();
+        let q = self.scratch.q.q();
         out.resize_zeroed(q.rows(), q.cols());
         out.as_mut_slice().copy_from_slice(q.as_slice());
-    }
-
-    /// ε-greedy through the batched kernel: same Q (bit for bit), same RNG
-    /// draws, same action as [`Agent::act`] — minus the per-action matvecs.
-    /// Records the same per-action prediction counters as [`Agent::act`],
-    /// so modeled execution times stay comparable between the scalar and
-    /// E-parallel drivers.
-    fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
-        let start = Instant::now();
-        let q = self.predict_batch(state_row);
-        let kind = if self.online.is_initialized() {
-            OpKind::PredictSeq
-        } else {
-            OpKind::PredictInit
-        };
-        self.ops
-            .record_n(kind, self.config.num_actions as u64, start.elapsed());
-        self.policy.select(q.row(0), rng)
     }
 
     /// One engine tick's transitions, trained as batch-B RLS chunks of at
@@ -538,7 +490,7 @@ impl BatchAgent for OsElmQNet {
         }
         // Update phase: the random-update rule, one draw per transition
         // (Algorithm 1 lines 21–22) — the same gate the scalar path uses.
-        let mut selected = std::mem::take(&mut self.bscratch.selected);
+        let mut selected = std::mem::take(&mut self.scratch.selected);
         selected.clear();
         for i in 0..rest.len() {
             if self.config.update_gate(rng) {
@@ -555,39 +507,38 @@ impl BatchAgent for OsElmQNet {
                 online,
                 target,
                 scratch,
-                bscratch,
                 ops,
                 ..
             } = self;
             // The Q-targets depend only on the frozen θ₂, so the batched
             // target-network forward stays hoisted over the whole tick even
             // when the RLS update below is split into capped chunks.
-            bscratch.next_states.resize_zeroed(b, config.state_dim);
+            scratch.next_states.resize_zeroed(b, config.state_dim);
             for (r, &i) in selected.iter().enumerate() {
-                bscratch.next_states.set_row(r, &rest[i].next_state);
+                scratch.next_states.set_row(r, &rest[i].next_state);
             }
-            elm_q_batch_into(encoder, target, &bscratch.next_states, &mut bscratch.q);
+            elm_q_batch_into(encoder, target, &scratch.next_states, &mut scratch.q);
             if b > cap {
                 elmrl_telemetry::counter!("core.observe.chunk_splits").inc();
             }
             for (c, chunk) in selected.chunks(cap).enumerate() {
                 let w = chunk.len();
-                bscratch.x.resize_zeroed(w, encoder.input_dim());
-                bscratch.t.resize_zeroed(w, 1);
+                scratch.x.resize_zeroed(w, encoder.input_dim());
+                scratch.t.resize_zeroed(w, 1);
                 for (r, &i) in chunk.iter().enumerate() {
                     let obs = &rest[i];
                     encoder.encode_into(&obs.state, obs.action, &mut scratch.enc);
-                    bscratch.x.set_row(r, &scratch.enc);
-                    let max_next = max_q(bscratch.q.q.row(c * cap + r));
-                    bscratch.t[(r, 0)] = config.target.target(obs.reward, max_next, obs.done);
+                    scratch.x.set_row(r, &scratch.enc);
+                    let max_next = max_q(scratch.q.q().row(c * cap + r));
+                    scratch.t[(r, 0)] = config.target.target(obs.reward, max_next, obs.done);
                 }
-                if online.seq_train_batch(&bscratch.x, &bscratch.t).is_err() {
+                if online.seq_train_batch(&scratch.x, &scratch.t).is_err() {
                     debug_assert!(false, "batched sequential update before initial training");
                 }
             }
             ops.record_n(OpKind::SeqTrain, b as u64, started.elapsed());
         }
-        self.bscratch.selected = selected;
+        self.scratch.selected = selected;
     }
 }
 

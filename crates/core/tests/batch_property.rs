@@ -6,11 +6,13 @@
 //! identical to the scalar `Agent::q_values` loop, so batched and scalar
 //! execution can be swapped freely without perturbing any seeded experiment.
 
-use elmrl_core::batch::BatchAgent;
+use elmrl_core::batch::{elm_q_batch_into, BatchAgent, BatchQScratch};
 use elmrl_core::dqn::{DqnAgent, DqnConfig};
 use elmrl_core::elm_qnet::{ElmQNet, ElmQNetConfig};
+use elmrl_core::encoding::{ActionEncoding, StateActionEncoder};
 use elmrl_core::oselm_qnet::{OsElmQNet, OsElmQNetConfig};
 use elmrl_core::{Agent, Observation};
+use elmrl_elm::{ElmModel, HiddenActivation, OsElmConfig};
 use elmrl_gym::Workload;
 use elmrl_linalg::Matrix;
 use proptest::prelude::*;
@@ -45,6 +47,63 @@ fn train_a_little(agent: &mut dyn Agent, rng: &mut SmallRng, dim: usize, actions
     }
 }
 
+const ACTIVATIONS: [HiddenActivation; 5] = [
+    HiddenActivation::ReLU,
+    HiddenActivation::LeakyReLU,
+    HiddenActivation::HardTanh,
+    HiddenActivation::HardSigmoid,
+    HiddenActivation::Identity,
+];
+
+/// Evaluate a random `batch × state_dim` state matrix through
+/// `elm_q_batch_into` and require every `(state, action)` Q to equal the
+/// first output of `ElmModel::predict_single` on the encoded pair, bit for
+/// bit. The model and states are drawn from `seed`, with pre-activations
+/// wide enough to reach every activation's saturating and negative branches.
+#[allow(clippy::too_many_arguments)]
+fn assert_batch_q_equals_predict_single(
+    seed: u64,
+    batch: usize,
+    state_dim: usize,
+    actions: usize,
+    hidden: usize,
+    outputs: usize,
+    activation: HiddenActivation,
+    encoding: ActionEncoding,
+) -> Result<(), TestCaseError> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let encoder = StateActionEncoder::with_encoding(state_dim, actions, encoding);
+    let config = OsElmConfig::new(encoder.input_dim(), hidden, outputs)
+        .with_init_range(-1.0, 1.0)
+        .with_activation(activation);
+    let mut model = ElmModel::<f64>::new(&config, &mut rng);
+    model.set_beta(Matrix::from_fn(hidden, outputs, |_, _| {
+        rng.gen_range(-1.5..1.5)
+    }));
+    let states = Matrix::from_fn(batch, state_dim, |_, _| rng.gen_range(-3.0..3.0));
+    let mut scratch = BatchQScratch::default();
+    elm_q_batch_into(&encoder, &model, &states, &mut scratch);
+    let q = scratch.q();
+    prop_assert_eq!(q.shape(), (batch, actions));
+    for i in 0..batch {
+        for (action, input) in encoder.encode_all_actions(states.row(i)).iter().enumerate() {
+            let expected = model.predict_single(input)[0];
+            prop_assert!(
+                q[(i, action)].to_bits() == expected.to_bits(),
+                "{:?}/{:?} m={}: Q[{}, {}] = {} but predict_single = {}",
+                activation,
+                encoding,
+                outputs,
+                i,
+                action,
+                q[(i, action)],
+                expected
+            );
+        }
+    }
+    Ok(())
+}
+
 /// `predict_batch` must equal the row-by-row `q_values` loop exactly.
 fn assert_bitwise_batch_equality<A: BatchAgent + ?Sized>(
     agent: &mut A,
@@ -64,6 +123,40 @@ fn assert_bitwise_batch_equality<A: BatchAgent + ?Sized>(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn fused_scalar_kernel_equals_predict_single_for_every_activation(
+        seed in 0u64..1000,
+        batch in 1usize..10,
+        (state_dim, actions, hidden) in (1usize..7, 2usize..5, 1usize..20),
+    ) {
+        // The single-output scalar-encoding route: the fused
+        // activation · β kernel, with 4-pair groups and every tail.
+        for activation in ACTIVATIONS {
+            assert_batch_q_equals_predict_single(
+                seed, batch, state_dim, actions, hidden, 1, activation, ActionEncoding::Scalar,
+            )?;
+        }
+    }
+
+    #[test]
+    fn multi_output_and_one_hot_take_the_generic_route(
+        seed in 0u64..1000,
+        batch in 1usize..10,
+        (state_dim, actions, hidden) in (1usize..7, 2usize..5, 1usize..20),
+    ) {
+        // The fused kernel reads β as one column; with m > 1 or a one-hot
+        // encoding it must not run, and the generic stacked route must
+        // still match the first output of predict_single.
+        for activation in ACTIVATIONS {
+            assert_batch_q_equals_predict_single(
+                seed, batch, state_dim, actions, hidden, 3, activation, ActionEncoding::Scalar,
+            )?;
+            assert_batch_q_equals_predict_single(
+                seed, batch, state_dim, actions, hidden, 1, activation, ActionEncoding::OneHot,
+            )?;
+        }
+    }
 
     #[test]
     fn elm_qnet_batched_equals_per_sample(seed in 0u64..500, batch in 1usize..12) {

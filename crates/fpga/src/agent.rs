@@ -108,11 +108,10 @@ struct FpgaAgentState {
 struct AgentScratch {
     /// Encoding workspace for one `(state, action)` input row.
     enc: Vec<f64>,
-    /// `1 × state_dim` staging row for a scalar sequential update.
-    states: Matrix<f64>,
     /// `B × state_dim` staging for a tick's gated next-states.
     next_states: Matrix<f64>,
-    /// Float target-network batch evaluation workspaces.
+    /// Float batch evaluation workspaces: θ₂ target Q, and the CPU learner
+    /// before the core is loaded.
     tq: BatchQScratch,
     /// Quantised input rows for the core (`B × (state_dim + 1)`).
     xq: Matrix<Q20>,
@@ -198,12 +197,27 @@ impl FpgaAgent {
         self.simulated_pl_seconds() + self.simulated_cpu_seconds
     }
 
-    fn target_q(&self, state: &[f64]) -> Vec<f64> {
-        self.encoder
-            .encode_all_actions(state)
-            .iter()
-            .map(|input| self.target.predict_single(input)[0])
-            .collect()
+    /// Float θ₂ Q-values of `state` (a one-row batch through the shared
+    /// kernel).
+    #[cfg(test)]
+    fn target_q(&mut self, state: &[f64]) -> Vec<f64> {
+        self.scratch
+            .tq
+            .q_single(&self.encoder, &self.target, state)
+            .to_vec()
+    }
+
+    /// Float Q-values of `states` through the CPU learner — the evaluation
+    /// path before initial training has loaded the core. Leaves the
+    /// `B × A` result in `scratch.tq`.
+    fn cpu_q_batch(&mut self, states: &Matrix<f64>) -> &Matrix<f64> {
+        elm_q_batch_into(
+            &self.encoder,
+            self.cpu_learner.model(),
+            states,
+            &mut self.scratch.tq,
+        );
+        self.scratch.tq.q()
     }
 
     /// Q-values of every action of `state` through the quantised core,
@@ -244,7 +258,11 @@ impl FpgaAgent {
             for (j, &v) in encoded.iter().enumerate() {
                 x[(i, j)] = v;
             }
-            let max_next = max_q(&self.target_q(&obs.next_state));
+            let max_next = max_q(self.scratch.tq.q_single(
+                &self.encoder,
+                &self.target,
+                &obs.next_state,
+            ));
             t[(i, 0)] = self.config.target.target(obs.reward, max_next, obs.done);
         }
         if self.cpu_learner.init_train(&x, &t).is_err() {
@@ -289,10 +307,7 @@ impl FpgaAgent {
         let core = core
             .as_mut()
             .expect("sequential update before initial training");
-        scratch.states.resize_zeroed(1, config.state_dim);
-        scratch.states.set_row(0, &obs.next_state);
-        elm_q_batch_into(encoder, target, &scratch.states, &mut scratch.tq);
-        let max_next = max_q(scratch.tq.q().row(0));
+        let max_next = max_q(scratch.tq.q_single(encoder, target, &obs.next_state));
         let target_q = config.target.target(obs.reward, max_next, obs.done);
         encoder.encode_into(&obs.state, obs.action, &mut scratch.enc);
         scratch.xq.resize_zeroed(1, encoder.input_dim());
@@ -307,15 +322,15 @@ impl FpgaAgent {
 
     fn sync_target_from_core(&mut self) {
         if let Some(core) = &self.core {
-            // θ₂ ← θ₁: read β back from the PL (quantised) into the CPU copy.
-            let beta_f64: Matrix<f64> = core.beta().cast();
-            let model = ElmModel::from_parts(
-                self.cpu_learner.model().alpha().clone(),
-                self.cpu_learner.model().bias().clone(),
-                beta_f64,
-                HiddenActivation::ReLU,
-            );
-            self.target.copy_parameters_from(&model);
+            // θ₂ ← θ₁: read β back from the PL (quantised) into the CPU
+            // copy, in place. α, b (and hence σ_max(α)) are the CPU
+            // learner's, which the target already holds: both start from
+            // the same draw and neither is ever trained.
+            let beta = self.target.beta_mut().as_mut_slice();
+            debug_assert_eq!(beta.len(), core.beta_raw().len());
+            for (t, &raw) in beta.iter_mut().zip(core.beta_raw()) {
+                *t = Q20::from_raw(raw).to_f64();
+            }
         } else {
             self.target.copy_parameters_from(self.cpu_learner.model());
         }
@@ -337,12 +352,9 @@ impl Agent for FpgaAgent {
             Self::core_q_into(&self.encoder, core, &mut self.scratch, state);
             OpKind::PredictSeq
         } else {
-            self.scratch.q.clear();
-            for input in self.encoder.encode_all_actions(state) {
-                self.scratch
-                    .q
-                    .push(self.cpu_learner.model().predict_single(&input)[0]);
-            }
+            let AgentScratch { q, tq, .. } = &mut self.scratch;
+            q.clear();
+            q.extend_from_slice(tq.q_single(&self.encoder, self.cpu_learner.model(), state));
             OpKind::PredictInit
         };
         self.ops
@@ -387,11 +399,10 @@ impl Agent for FpgaAgent {
             Self::core_q_into(&self.encoder, core, &mut self.scratch, state);
             self.scratch.q.clone()
         } else {
-            self.encoder
-                .encode_all_actions(state)
-                .iter()
-                .map(|input| self.cpu_learner.model().predict_single(input)[0])
-                .collect()
+            self.scratch
+                .tq
+                .q_single(&self.encoder, self.cpu_learner.model(), state)
+                .to_vec()
         }
     }
 
@@ -438,13 +449,10 @@ impl elmrl_core::batch::BatchAgent for FpgaAgent {
     /// One stacked `(B·A)`-row pass through the quantised core — bit-for-bit
     /// equal to per-sample [`Agent::q_values`] (per-row accumulation, same
     /// quantisation, same per-row cycle charges). Before initial training the
-    /// trait's per-sample fallback semantics apply (float CPU learner).
+    /// float CPU learner answers through the shared batched kernel.
     fn predict_batch(&mut self, states: &Matrix<f64>) -> Matrix<f64> {
         if self.core.is_none() {
-            let rows: Vec<Vec<f64>> = (0..states.rows())
-                .map(|i| self.q_values(states.row(i)))
-                .collect();
-            return Matrix::from_rows(&rows);
+            return self.cpu_q_batch(states).clone();
         }
         let b = states.rows();
         let a = self.config.num_actions;
@@ -472,11 +480,13 @@ impl elmrl_core::batch::BatchAgent for FpgaAgent {
     /// The quantised stacked pass into a caller-owned Q buffer — bit-for-bit
     /// equal to `BatchAgent::predict_batch`, with zero heap allocations
     /// once the scratch and `out` have seen the steady-state batch shape
-    /// (the serve-worker contract). Before initial training the allocating
-    /// fallback applies (float CPU learner, cold path only).
+    /// (the serve-worker contract). Before initial training the float CPU
+    /// learner answers through the same shared kernel.
     fn predict_batch_into(&mut self, states: &Matrix<f64>, out: &mut Matrix<f64>) {
         if self.core.is_none() {
-            *out = self.predict_batch(states);
+            let q = self.cpu_q_batch(states);
+            out.resize_zeroed(q.rows(), q.cols());
+            out.as_mut_slice().copy_from_slice(q.as_slice());
             return;
         }
         let b = states.rows();
@@ -506,13 +516,6 @@ impl elmrl_core::batch::BatchAgent for FpgaAgent {
                 *v = scratch.yq[(i * a + action, 0)].to_f64();
             }
         }
-    }
-
-    /// ε-greedy for one packed state row. [`Agent::act`] already evaluates
-    /// all `A` actions through one batched core call and records the same
-    /// counters, so delegation *is* the batched path.
-    fn act_row(&mut self, state_row: &Matrix<f64>, rng: &mut SmallRng) -> usize {
-        self.act(state_row.row(0), rng)
     }
 
     /// One engine tick's transitions through the quantised core — the same

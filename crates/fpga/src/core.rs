@@ -185,11 +185,17 @@ impl FpgaCore {
         &self.cycles
     }
 
-    /// The fixed-point `β` as a matrix (diagnostics / tests / target sync).
+    /// The fixed-point `β` as a matrix (diagnostics / tests).
     pub fn beta(&self) -> Matrix<Q20> {
         Matrix::from_fn(self.nh, self.m, |i, j| {
             Q20::from_raw(self.beta[i * self.m + j])
         })
+    }
+
+    /// β's raw Q20 words, row-major (`Ñ × m`), borrowed — the
+    /// allocation-free read-back of the host-side target sync.
+    pub fn beta_raw(&self) -> &[i32] {
+        &self.beta
     }
 
     /// The fixed-point `P` as a matrix (diagnostics / tests).

@@ -139,6 +139,53 @@ fn steady_state_quantized_training_step_allocates_nothing() {
 }
 
 #[test]
+fn target_sync_allocates_nothing() {
+    // θ₂ ← θ₁ at an episode boundary reads the quantised β back from the
+    // core into the float target in place: no model rebuild, no α/b clone,
+    // no SVD of α — so a steady-state episode end allocates nothing either.
+    let _serial = serial();
+    let spec = Workload::CartPole.spec();
+    let mut config = FpgaAgentConfig::for_workload(&spec, 16);
+    config.update_prob = 1.0;
+    config.target_sync_episodes = 1; // every end_episode syncs
+    let mut rng = SmallRng::seed_from_u64(31);
+    let mut agent = FpgaAgent::new(config, &mut rng);
+    for i in 0..16 {
+        agent.observe(&transition(i), &mut rng);
+    }
+    assert!(agent.core_loaded());
+    let obs = transition(40);
+    for episode in 0..8 {
+        agent.observe(&obs, &mut rng);
+        agent.end_episode(episode);
+    }
+    let q_before = agent.q_values(&obs.state);
+
+    COUNTING.with(|flag| flag.set(true));
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for episode in 8..72 {
+        let action = agent.act(&obs.state, &mut rng);
+        std::hint::black_box(action);
+        agent.observe(&obs, &mut rng);
+        agent.end_episode(episode);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.with(|flag| flag.set(false));
+
+    assert_ne!(
+        agent.q_values(&obs.state),
+        q_before,
+        "the measured loop must have trained the core"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state act+observe+target sync must not allocate ({} allocations over 64 episodes)",
+        after - before
+    );
+}
+
+#[test]
 fn steady_state_quantized_batched_tick_allocates_nothing() {
     // The batched form of the same contract: a B > 1 engine tick through
     // `observe_batch` — gating, the packed next-state matrix, the batched

@@ -98,13 +98,11 @@ pub fn set_parallel_flop_threshold(threshold: usize) {
 /// write-out costs more than it saves on tiny products.
 const PACK_FLOP_THRESHOLD: usize = 8 * 8 * 8;
 
-/// Compute output rows `i0..i1` of `a · rhs`, restricted to the first
-/// `k_used` columns of `a` / rows of `rhs`, into `out_rows` (the caller's
+/// Compute output rows `i0..i1` of `a · rhs` into `out_rows` (the caller's
 /// already-zeroed row slice of length `(i1 - i0) · rhs.cols()`).
 ///
 /// This is the one packed/blocked engine behind
-/// [`Matrix::matmul_packed_into`], [`Matrix::matmul_prefix_packed_into`] and
-/// the parallel row-chunk dispatch: [`PACK_MR`]-row panels of `a` are packed
+/// [`Matrix::matmul_packed_into`] and the parallel row-chunk dispatch: [`PACK_MR`]-row panels of `a` are packed
 /// transposed, the inner dimension is tiled by [`PACK_KC`] and the output
 /// columns by [`PACK_NC`]. For every output element the `k` terms are still
 /// accumulated in ascending order (k-blocks ascend, `p` ascends within a
@@ -114,20 +112,19 @@ fn packed_gemm_rows<T: Scalar>(
     a: &Matrix<T>,
     i0: usize,
     i1: usize,
-    k_used: usize,
     rhs: &Matrix<T>,
     pack: &mut Vec<T>,
     out_rows: &mut [T],
 ) {
-    let n = rhs.cols();
+    let (k, n) = (a.cols(), rhs.cols());
     debug_assert_eq!(out_rows.len(), (i1 - i0) * n);
     pack.clear();
-    pack.resize(PACK_MR * PACK_KC.min(k_used.max(1)), T::zero());
+    pack.resize(PACK_MR * PACK_KC.min(k.max(1)), T::zero());
     for ib in (i0..i1).step_by(PACK_MR) {
         let h = PACK_MR.min(i1 - ib);
         let panel = &mut out_rows[(ib - i0) * n..(ib - i0 + h) * n];
-        for p0 in (0..k_used).step_by(PACK_KC) {
-            let p_end = (p0 + PACK_KC).min(k_used);
+        for p0 in (0..k).step_by(PACK_KC) {
+            let p_end = (p0 + PACK_KC).min(k);
             // Pack this panel's k-slice transposed: pack[(p-p0)·MR + r] =
             // A[ib+r, p], so the p-loop below reads one contiguous group.
             for (r, a_row) in (ib..ib + h).map(|i| a.row(i)).enumerate() {
@@ -152,6 +149,44 @@ fn packed_gemm_rows<T: Scalar>(
     }
 }
 
+/// `out[i] = Σ_p a[i, p] · x[p]` — the `n = 1` case of the naive kernel
+/// (every ELM output layer `H·β` in the simplified output model). Each row
+/// keeps its own accumulator, starts from `T::zero()` and adds its terms in
+/// ascending `p`: exactly the per-element operation sequence of the `i-k-j`
+/// loop, so it is bit-for-bit identical for every [`Scalar`] (saturating
+/// fixed point included). Four rows are in flight at once so the four
+/// independent add chains overlap instead of serialising on add latency.
+fn matvec_rows<T: Scalar>(a: &Matrix<T>, x: &[T], out: &mut [T]) {
+    let k = x.len();
+    let done = out.len() - out.len() % 4;
+    let mut quads = out.chunks_exact_mut(4);
+    for (q, o) in (&mut quads).enumerate() {
+        let i = 4 * q;
+        let (r0, r1, r2, r3) = (
+            &a.row(i)[..k],
+            &a.row(i + 1)[..k],
+            &a.row(i + 2)[..k],
+            &a.row(i + 3)[..k],
+        );
+        let (mut s0, mut s1, mut s2, mut s3) = (T::zero(), T::zero(), T::zero(), T::zero());
+        for p in 0..k {
+            let x_p = x[p];
+            s0 += r0[p] * x_p;
+            s1 += r1[p] * x_p;
+            s2 += r2[p] * x_p;
+            s3 += r3[p] * x_p;
+        }
+        o.copy_from_slice(&[s0, s1, s2, s3]);
+    }
+    for (r, o) in quads.into_remainder().iter_mut().enumerate() {
+        let mut acc = T::zero();
+        for (&a_p, &x_p) in a.row(done + r).iter().zip(x) {
+            acc += a_p * x_p;
+        }
+        *o = acc;
+    }
+}
+
 impl<T: Scalar> Matrix<T> {
     /// Naive `i-k-j` matrix product. Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix<T>) -> Matrix<T> {
@@ -161,7 +196,9 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// [`Matrix::matmul`] into a caller-owned output (reshaped and zeroed,
-    /// reusing its allocation). Bit-for-bit identical to `matmul`.
+    /// reusing its allocation). Bit-for-bit identical to `matmul`. A
+    /// single-column `rhs` takes a row-dot-product path with the same
+    /// per-element operation sequence.
     pub fn matmul_into(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
         assert_eq!(
             self.cols(),
@@ -174,6 +211,10 @@ impl<T: Scalar> Matrix<T> {
         );
         let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
         out.resize_zeroed(m, n);
+        if n == 1 {
+            matvec_rows(self, rhs.as_slice(), out.as_mut_slice());
+            return;
+        }
         for i in 0..m {
             let a_row = self.row(i);
             for (p, &a_ip) in a_row.iter().enumerate().take(k) {
@@ -213,36 +254,9 @@ impl<T: Scalar> Matrix<T> {
             rhs.rows(),
             rhs.cols()
         );
-        let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
-        out.resize_zeroed(m, n);
-        packed_gemm_rows(self, 0, m, k, rhs, pack, out.as_mut_slice());
-    }
-
-    /// Product of the first `k_used` columns of `self` with the first
-    /// `k_used` rows of `rhs`, through the packed/blocked engine. This is
-    /// the batched Q-evaluation's state-projection shape: `states` is
-    /// `B × d` while the input weights carry `d + 1` rows (the bias row is
-    /// applied separately), so the full product never exists. Bit-for-bit
-    /// identical to accumulating `p = 0..k_used` naively in ascending order.
-    pub fn matmul_prefix_packed_into(
-        &self,
-        rhs: &Matrix<T>,
-        k_used: usize,
-        pack: &mut Vec<T>,
-        out: &mut Matrix<T>,
-    ) {
-        assert!(
-            k_used <= self.cols() && k_used <= rhs.rows(),
-            "matmul_prefix_packed: prefix {} exceeds operand dims ({}x{} * {}x{})",
-            k_used,
-            self.rows(),
-            self.cols(),
-            rhs.rows(),
-            rhs.cols()
-        );
         let (m, n) = (self.rows(), rhs.cols());
         out.resize_zeroed(m, n);
-        packed_gemm_rows(self, 0, m, k_used, rhs, pack, out.as_mut_slice());
+        packed_gemm_rows(self, 0, m, rhs, pack, out.as_mut_slice());
     }
 
     /// Size-dispatched product into a caller-owned output: naive loop for
@@ -289,7 +303,7 @@ impl<T: Scalar> Matrix<T> {
             let i0 = ci * rows_per;
             let rows = chunk.len() / n;
             let mut local_pack = Vec::new();
-            packed_gemm_rows(self, i0, i0 + rows, k, rhs, &mut local_pack, chunk);
+            packed_gemm_rows(self, i0, i0 + rows, rhs, &mut local_pack, chunk);
         });
     }
 
@@ -529,28 +543,6 @@ mod tests {
             let b = uniform_matrix::<f64, _>(k, n, -2.0, 2.0, &mut rng);
             // Exact equality, not approximate: same accumulation order.
             assert_eq!(a.matmul(&b), a.matmul_packed(&b), "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn prefix_packed_matches_naive_prefix_accumulation() {
-        let mut rng = SmallRng::seed_from_u64(80);
-        for (m, k_used, extra, n) in [(4, 3, 1, 9), (9, 8, 2, 17), (3, 257, 1, 5)] {
-            let a = uniform_matrix::<f64, _>(m, k_used, -1.0, 1.0, &mut rng);
-            let b = uniform_matrix::<f64, _>(k_used + extra, n, -1.0, 1.0, &mut rng);
-            let mut pack = Vec::new();
-            let mut out = Matrix::zeros(1, 1);
-            a.matmul_prefix_packed_into(&b, k_used, &mut pack, &mut out);
-            // Reference: the naive ascending-p loop over the prefix.
-            let mut expected = Matrix::zeros(m, n);
-            for i in 0..m {
-                for p in 0..k_used {
-                    for j in 0..n {
-                        expected[(i, j)] += a[(i, p)] * b[(p, j)];
-                    }
-                }
-            }
-            assert_eq!(out, expected, "{m}x{k_used}(+{extra})x{n}");
         }
     }
 

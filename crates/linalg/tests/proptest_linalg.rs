@@ -5,10 +5,11 @@
 //! reconstruction, Moore–Penrose conditions and the σ_max ≤ ‖·‖_F relation
 //! the paper's L2-for-spectral substitution argument depends on.
 
+use elmrl_fixed::Q20;
 use elmrl_linalg::decomp::{Cholesky, Lu, Qr, Svd};
 use elmrl_linalg::norms::{spectral_norm_exact, spectral_norm_power, spectral_normalize};
 use elmrl_linalg::solve::{pseudo_inverse, ridge_solve};
-use elmrl_linalg::Matrix;
+use elmrl_linalg::{Matrix, Scalar};
 use proptest::prelude::*;
 
 fn small_dims() -> impl Strategy<Value = (usize, usize)> {
@@ -97,20 +98,6 @@ proptest! {
         let c = seeded_matrix(m, 3, seed.wrapping_add(43));
         let d = seeded_matrix(3, n, seed.wrapping_add(47));
         prop_assert_eq!(c.matmul(&d), c.matmul_packed(&d));
-        // Prefix form: accumulate only the first k-1 inner terms.
-        let mut pack = Vec::new();
-        let mut out = Matrix::zeros(1, 1);
-        let k_used = k - 1;
-        a.matmul_prefix_packed_into(&b, k_used, &mut pack, &mut out);
-        let mut expected = Matrix::zeros(m, 2);
-        for i in 0..m {
-            for p in 0..k_used {
-                for j in 0..2 {
-                    expected[(i, j)] += a[(i, p)] * b[(p, j)];
-                }
-            }
-        }
-        prop_assert_eq!(out, expected);
     }
 
     #[test]
@@ -123,6 +110,43 @@ proptest! {
         let mut out = Matrix::zeros(1, 1);
         a.matmul_auto_into(&b, &mut pack, &mut out);
         prop_assert_eq!(a.matmul(&b), out);
+    }
+
+    #[test]
+    fn matvec_path_is_bit_identical_to_ascending_p_reference(
+        m in 1usize..14, k in 0usize..71, seed in 0u64..1000
+    ) {
+        // The `n == 1` branch of `matmul_into` runs four rows at a time plus
+        // an `m mod 4` tail; every row must still be the naive loop's
+        // ascending-p chain from zero, bit for bit — including on signed
+        // zeros, subnormals and infinities, where any reordering or a
+        // different starting value would show up in the bits.
+        let a = edge_matrix(m, k, seed);
+        let x = edge_matrix(k, 1, seed.wrapping_add(5));
+        let bits = |v: &Matrix<f64>| v.as_slice().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let expected = reference_product(&a, &x);
+        let mut out = Matrix::filled(2, 3, f64::NAN); // stale contents
+        a.matmul_into(&x, &mut out);
+        prop_assert_eq!(out.shape(), (m, 1));
+        prop_assert_eq!(bits(&out), bits(&expected));
+        prop_assert_eq!(bits(&a.matmul(&x)), bits(&expected));
+    }
+
+    #[test]
+    fn matvec_path_saturates_identically_on_q20(
+        m in 1usize..14, k in 0usize..71, seed in 0u64..1000
+    ) {
+        // The same pin for the saturating fixed-point scalar: raw words
+        // span the whole i32 range (so products and running sums clamp),
+        // and a saturating add is order-sensitive, so any change to the
+        // per-row operation sequence would land on different words.
+        let a = raw_q20_matrix(m, k, seed);
+        let x = raw_q20_matrix(k, 1, seed.wrapping_add(9));
+        let raw = |v: &Matrix<Q20>| v.as_slice().iter().map(|e| e.to_raw()).collect::<Vec<_>>();
+        let mut out = Matrix::zeros(1, 1);
+        a.matmul_into(&x, &mut out);
+        prop_assert_eq!(out.shape(), (m, 1));
+        prop_assert_eq!(raw(&out), raw(&reference_product(&a, &x)));
     }
 
     #[test]
@@ -236,6 +260,68 @@ proptest! {
         prop_assert_eq!(v.submatrix(m, 2 * m, 0, n).unwrap(), a.clone());
         prop_assert_eq!(h.submatrix(0, m, n, 2 * n).unwrap(), a);
     }
+}
+
+/// The naive kernel's per-element operation sequence written out: start
+/// from zero, add `a[i, p] · b[p, j]` for ascending `p`.
+fn reference_product<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+    Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+        let mut acc = T::zero();
+        for p in 0..a.cols() {
+            acc += a[(i, p)] * b[(p, j)];
+        }
+        acc
+    })
+}
+
+/// Step of the 64-bit LCG behind the seeded generators below.
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 11
+}
+
+/// A seeded matrix where about one entry in three is an IEEE edge case:
+/// a signed zero, a subnormal, an infinity or a magnitude large enough for
+/// running sums to overflow. The rest are ordinary values in `[-2, 2]`.
+fn edge_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
+    const EDGES: [f64; 10] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 3.0,
+        -f64::MIN_POSITIVE / 7.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e300,
+        -1e300,
+    ];
+    let mut state = seed;
+    Matrix::from_fn(rows, cols, |_, _| {
+        let r = lcg(&mut state);
+        if r % 3 == 0 {
+            EDGES[(r / 3) as usize % EDGES.len()]
+        } else {
+            (r as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
+        }
+    })
+}
+
+/// A seeded Q20 matrix whose raw words cover the whole `i32` range, mixed
+/// with small magnitudes so some rows stay unsaturated.
+fn raw_q20_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<Q20> {
+    let mut state = seed;
+    Matrix::from_fn(rows, cols, |_, _| {
+        let r = lcg(&mut state);
+        let raw = if r % 2 == 0 {
+            r as i32 // full-range word
+        } else {
+            ((r >> 8) as i32) >> 9 // |v| ≲ 4 in Q20
+        };
+        Q20::from_raw(raw)
+    })
 }
 
 /// Deterministic pseudo-random matrix built from a seed without needing a
