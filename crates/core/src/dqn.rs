@@ -14,9 +14,7 @@ use crate::clipping::TargetConfig;
 use crate::ops::{OpCounts, OpKind};
 use crate::policy::ExploitPolicy;
 use elmrl_linalg::Matrix;
-use elmrl_nn::{
-    Activation, Adam, Loss, Mlp, MlpConfig, MlpScratch, MomentState, ReplayBuffer, Transition,
-};
+use elmrl_nn::{Activation, Adam, Loss, Mlp, MlpConfig, MlpScratch, MomentState, ReplayBuffer};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -71,15 +69,6 @@ impl DqnConfig {
             warmup: 64,
         }
     }
-
-    /// The paper's CartPole settings for a given hidden size.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use DqnConfig::for_workload(&Workload::CartPole.spec(), hidden_dim)"
-    )]
-    pub fn cartpole(hidden_dim: usize) -> Self {
-        Self::for_workload(&elmrl_gym::Workload::CartPole.spec(), hidden_dim)
-    }
 }
 
 /// The complete mutable state of a [`DqnAgent`], as carried inside an
@@ -105,10 +94,18 @@ pub struct DqnAgent {
     optimizer: Adam,
     replay: ReplayBuffer,
     targets: TargetConfig,
-    /// Forward-pass workspaces for allocation-free action selection.
+    /// Forward-pass workspaces for allocation-free action selection and the
+    /// target network's mini-batch pass.
     scratch: MlpScratch,
     /// Reused per-action Q buffer for [`Agent::act`].
     q_buf: Vec<f64>,
+    /// The training step's reused workspaces: sampled replay indices, the
+    /// packed `s` and `s'` rows, `Q_θ2(s', ·)` and the regression targets.
+    batch: Vec<usize>,
+    states: Matrix<f64>,
+    next_states: Matrix<f64>,
+    next_q: Matrix<f64>,
+    q_targets: Matrix<f64>,
     ops: OpCounts,
 }
 
@@ -130,6 +127,11 @@ impl DqnAgent {
             target,
             scratch: MlpScratch::default(),
             q_buf: Vec::new(),
+            batch: Vec::new(),
+            states: Matrix::default(),
+            next_states: Matrix::default(),
+            next_q: Matrix::default(),
+            q_targets: Matrix::default(),
             ops: OpCounts::new(),
             config,
         }
@@ -140,49 +142,73 @@ impl DqnAgent {
         self.replay.len()
     }
 
+    fn push(&mut self, obs: &Observation) {
+        self.replay.push(
+            &obs.state,
+            obs.action,
+            obs.reward,
+            &obs.next_state,
+            obs.done,
+        );
+    }
+
+    /// One replay mini-batch gradient step, free of heap allocations once
+    /// the workspaces have seen the batch shape. The sampled rows are packed
+    /// straight from the replay buffer; the online network's single cached
+    /// forward pass both supplies the untouched actions' targets and feeds
+    /// the backward pass.
     fn train_on_batch(&mut self, rng: &mut SmallRng) {
         if self.replay.len() < self.config.warmup.max(self.config.batch_size) {
             return;
         }
         let start = Instant::now();
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(self.config.batch_size, rng)
-            .into_iter()
-            .cloned()
-            .collect();
-
-        let k = batch.len();
-        let states = Matrix::from_rows(&batch.iter().map(|t| t.state.clone()).collect::<Vec<_>>());
-        let next_states = Matrix::from_rows(
-            &batch
-                .iter()
-                .map(|t| t.next_state.clone())
-                .collect::<Vec<_>>(),
-        );
+        let Self {
+            config,
+            online,
+            target,
+            optimizer,
+            replay,
+            targets,
+            scratch,
+            batch,
+            states,
+            next_states,
+            next_q,
+            q_targets,
+            ops,
+            ..
+        } = self;
+        replay.sample_indices(config.batch_size, rng, batch);
+        states.resize_zeroed(batch.len(), config.state_dim);
+        next_states.resize_zeroed(batch.len(), config.state_dim);
+        for (r, &i) in batch.iter().enumerate() {
+            let t = replay.get(i);
+            states.set_row(r, &t.state);
+            next_states.set_row(r, &t.next_state);
+        }
 
         // Q_θ2(s', ·) on the batch — the `predict_32` class of Figure 5.
         let p32_start = Instant::now();
-        let next_q = self.target.forward(&next_states);
-        self.ops.record(OpKind::Predict32, p32_start.elapsed());
+        target.forward_batch_into(next_states, scratch, next_q);
+        ops.record(OpKind::Predict32, p32_start.elapsed());
 
-        // Current Q_θ1(s, ·) to keep the untouched actions' targets in place.
+        // Q_θ1(s, ·) with backprop caches: the untouched actions keep these
+        // values as their targets.
         let p32b_start = Instant::now();
-        let mut targets = self.online.forward(&states);
-        self.ops.record(OpKind::Predict32, p32b_start.elapsed());
+        q_targets.clone_from(online.forward_training(states));
+        ops.record(OpKind::Predict32, p32b_start.elapsed());
 
-        for (i, t) in batch.iter().enumerate() {
-            let mut max_next = f64::NEG_INFINITY;
-            for a in 0..self.config.num_actions {
-                max_next = max_next.max(next_q[(i, a)]);
-            }
-            targets[(i, t.action)] = self.targets.target(t.reward, max_next, t.done);
+        for (r, &i) in batch.iter().enumerate() {
+            let t = replay.get(i);
+            let max_next = next_q
+                .row(r)
+                .iter()
+                .fold(f64::NEG_INFINITY, |m, &q| m.max(q));
+            q_targets[(r, t.action)] = targets.target(t.reward, max_next, t.done);
         }
-        let _ = k;
 
-        self.online
-            .train_step(&states, &targets, Loss::Huber, &mut self.optimizer);
-        self.ops.record(OpKind::TrainDqn, start.elapsed());
+        online.backward_update(q_targets, Loss::Huber, optimizer);
+        ops.record(OpKind::TrainDqn, start.elapsed());
     }
 }
 
@@ -211,13 +237,7 @@ impl Agent for DqnAgent {
     }
 
     fn observe(&mut self, obs: &Observation, rng: &mut SmallRng) {
-        self.replay.push(Transition {
-            state: obs.state.clone(),
-            action: obs.action,
-            reward: obs.reward,
-            next_state: obs.next_state.clone(),
-            done: obs.done,
-        });
+        self.push(obs);
         self.train_on_batch(rng);
     }
 
@@ -315,26 +335,23 @@ impl BatchAgent for DqnAgent {
     /// this is exactly the scalar [`Agent::observe`].
     fn observe_batch(&mut self, batch: &[Observation], rng: &mut SmallRng) {
         for obs in batch {
-            self.replay.push(Transition {
-                state: obs.state.clone(),
-                action: obs.action,
-                reward: obs.reward,
-                next_state: obs.next_state.clone(),
-                done: obs.done,
-            });
+            self.push(obs);
         }
         self.train_on_batch(rng);
     }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the cartpole() shims must keep working for seed tests
 mod tests {
     use super::*;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
+    }
+
+    fn cartpole(hidden_dim: usize) -> DqnConfig {
+        DqnConfig::for_workload(&elmrl_gym::Workload::CartPole.spec(), hidden_dim)
     }
 
     fn obs(i: usize, reward: f64, done: bool) -> Observation {
@@ -350,7 +367,7 @@ mod tests {
 
     #[test]
     fn paper_parameters() {
-        let c = DqnConfig::cartpole(64);
+        let c = cartpole(64);
         assert_eq!(c.learning_rate, 0.01);
         assert_eq!(c.batch_size, 32);
         assert_eq!(c.exploit_prob, 0.7);
@@ -364,7 +381,7 @@ mod tests {
     #[test]
     fn training_starts_only_after_warmup() {
         let mut r = rng(1);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(16), &mut r);
+        let mut agent = DqnAgent::new(cartpole(16), &mut r);
         for i in 0..63 {
             agent.observe(&obs(i, 0.0, false), &mut r);
         }
@@ -378,7 +395,7 @@ mod tests {
     #[test]
     fn act_counts_single_predictions() {
         let mut r = rng(2);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(16), &mut r);
+        let mut agent = DqnAgent::new(cartpole(16), &mut r);
         for _ in 0..5 {
             let _ = agent.act(&[0.0; 4], &mut r);
         }
@@ -388,7 +405,7 @@ mod tests {
     #[test]
     fn q_of_failing_action_decreases_with_training() {
         let mut r = rng(3);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(32), &mut r);
+        let mut agent = DqnAgent::new(cartpole(32), &mut r);
         let probe = [0.05, -0.02, 0.1, 0.04];
         // Fill replay with transitions where action 1 from states with
         // positive pole angle leads to failure (−1) and action 0 is neutral.
@@ -415,7 +432,7 @@ mod tests {
     #[test]
     fn target_network_sync_schedule() {
         let mut r = rng(4);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(16), &mut r);
+        let mut agent = DqnAgent::new(cartpole(16), &mut r);
         for i in 0..80 {
             agent.observe(&obs(i, 0.0, false), &mut r);
         }
@@ -436,7 +453,7 @@ mod tests {
     #[test]
     fn reset_clears_replay_and_reinitialises() {
         let mut r = rng(5);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(16), &mut r);
+        let mut agent = DqnAgent::new(cartpole(16), &mut r);
         for i in 0..100 {
             agent.observe(&obs(i, 0.0, false), &mut r);
         }
@@ -448,7 +465,7 @@ mod tests {
     #[test]
     fn memory_footprint_includes_replay_buffer() {
         let mut r = rng(6);
-        let mut agent = DqnAgent::new(DqnConfig::cartpole(64), &mut r);
+        let mut agent = DqnAgent::new(cartpole(64), &mut r);
         let empty = agent.memory_footprint_bytes();
         for i in 0..500 {
             agent.observe(&obs(i, 0.0, false), &mut r);

@@ -326,6 +326,65 @@ fn steady_state_training_step_allocates_nothing_with_telemetry_on() {
     );
 }
 
+#[test]
+fn dqn_steady_state_act_observe_allocates_nothing() {
+    // The DQN baseline's contract: once its replay buffer is full (so each
+    // push recycles the evicted transition's vectors) and the training
+    // workspaces — sampled indices, packed state rows, the target network's
+    // forward buffers, every layer's backprop caches and the Adam moments —
+    // have seen the mini-batch shape, a full act + observe step (one
+    // gradient step on 32 replayed transitions) is allocation-free.
+    use elmrl_core::dqn::{DqnAgent, DqnConfig};
+
+    let _serial = serial();
+    let spec = Workload::CartPole.spec();
+    let mut config = DqnConfig::for_workload(&spec, 16);
+    config.replay_capacity = 96;
+    let mut rng = SmallRng::seed_from_u64(5);
+    let mut agent = DqnAgent::new(config, &mut rng);
+
+    // Observations are built up front: the measured loop must not build its
+    // inputs. The first 128 fill the buffer past capacity (so eviction is
+    // recycling) and let every workspace reach its steady size.
+    let mut observations: Vec<Observation> = (0..128 + 256)
+        .map(|i| Observation {
+            state: vec![0.01 * (i % 17) as f64, -0.02, 0.03 * (i % 5) as f64, 0.04],
+            action: 0,
+            reward: if i % 9 == 0 { -1.0 } else { 0.0 },
+            next_state: vec![0.01 * (i % 17) as f64 + 0.01, -0.01, 0.02, 0.05],
+            done: i % 9 == 0,
+            truncated: false,
+        })
+        .collect();
+    let (warmup, measured) = observations.split_at_mut(128);
+    for obs in warmup {
+        obs.action = agent.act(&obs.state, &mut rng);
+        agent.observe(obs, &mut rng);
+    }
+    assert_eq!(agent.replay_len(), 96);
+
+    COUNTING.with(|flag| flag.set(true));
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for obs in measured {
+        obs.action = agent.act(&obs.state, &mut rng);
+        agent.observe(obs, &mut rng);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.with(|flag| flag.set(false));
+
+    assert_eq!(
+        agent.op_counts().count(elmrl_core::ops::OpKind::TrainDqn),
+        128 + 256 - 63,
+        "every step from the 64th transition on must have trained"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state DQN act+observe must not allocate ({} allocations over 256 steps)",
+        after - before
+    );
+}
+
 /// Allocations of one full scalar training run, with the checkpoint
 /// schedule either disarmed or armed-but-never-firing. Same seed, same
 /// trajectory — any difference is overhead the checkpoint plumbing adds to

@@ -25,6 +25,15 @@
 //! steady-state hot loops — the OS-ELM RLS update above all — perform zero
 //! matrix heap allocations.
 //!
+//! Narrow shapes — the `Ñ → |A|` output layer of a Q-network, where one
+//! side of the product is 1–4 wide — take dedicated paths inside the same
+//! `*_into` entry points: [`Matrix::matmul_into`] for `n ≤ 4` output
+//! columns, [`Matrix::t_matmul_into`] for `n ≤ 4` and
+//! [`Matrix::matmul_t_into`] for an inner dimension `k ≤ 4`. Each keeps its
+//! accumulators in registers instead of running a 2-element inner loop, and
+//! each still starts every element from `T::zero()` and adds its terms in
+//! ascending `p`, so they are bit-for-bit identical for every [`Scalar`].
+//!
 //! The FPGA datapath simulator in `elmrl-fpga` does **not** use these kernels;
 //! it sequences scalar MACs explicitly to count cycles.
 
@@ -187,6 +196,98 @@ fn matvec_rows<T: Scalar>(a: &Matrix<T>, x: &[T], out: &mut [T]) {
     }
 }
 
+/// `out = a · b` for a narrow `b` of `N ∈ 2..=4` columns. Two rows of `a`
+/// are in flight at once, each with `N` accumulators that start from
+/// `T::zero()` and take their terms in ascending `p` — the per-element
+/// sequence of the `i-k-j` loop, without its `N`-long inner loop.
+fn narrow_matmul_rows<T: Scalar, const N: usize>(a: &Matrix<T>, b: &[T], out: &mut [T]) {
+    let k = a.cols();
+    let b = &b[..k * N];
+    let m = out.len() / N;
+    let mut pairs = out.chunks_exact_mut(2 * N);
+    for (q, o) in (&mut pairs).enumerate() {
+        let (r0, r1) = (&a.row(2 * q)[..k], &a.row(2 * q + 1)[..k]);
+        let (mut s0, mut s1) = ([T::zero(); N], [T::zero(); N]);
+        for ((&x0, &x1), b_row) in r0.iter().zip(r1).zip(b.chunks_exact(N)) {
+            for j in 0..N {
+                s0[j] += x0 * b_row[j];
+                s1[j] += x1 * b_row[j];
+            }
+        }
+        o[..N].copy_from_slice(&s0);
+        o[N..].copy_from_slice(&s1);
+    }
+    let tail = pairs.into_remainder();
+    if !tail.is_empty() {
+        let mut s = [T::zero(); N];
+        for (&x, b_row) in a.row(m - 1)[..k].iter().zip(b.chunks_exact(N)) {
+            for j in 0..N {
+                s[j] += x * b_row[j];
+            }
+        }
+        tail.copy_from_slice(&s);
+    }
+}
+
+/// `out = aᵀ · b` for a narrow `b` of `N ∈ 2..=4` columns (`a` is `k × m`).
+/// Four output rows (columns of `a`) are in flight at once, reading one
+/// contiguous 4-wide segment of each `a` row per `p`; every accumulator
+/// starts from `T::zero()` and adds its terms in ascending `p`, as the
+/// `p-i-j` loop does.
+fn narrow_t_matmul_rows<T: Scalar, const N: usize>(a: &Matrix<T>, b: &[T], out: &mut [T]) {
+    let (k, m) = (a.rows(), a.cols());
+    let b = &b[..k * N];
+    let mut quads = out.chunks_exact_mut(4 * N);
+    for (q, o) in (&mut quads).enumerate() {
+        let i = 4 * q;
+        let mut s = [[T::zero(); N]; 4];
+        for (p, b_row) in b.chunks_exact(N).enumerate() {
+            let seg = &a.row(p)[i..i + 4];
+            for r in 0..4 {
+                for j in 0..N {
+                    s[r][j] += seg[r] * b_row[j];
+                }
+            }
+        }
+        for (o_row, s_row) in o.chunks_exact_mut(N).zip(&s) {
+            o_row.copy_from_slice(s_row);
+        }
+    }
+    let done = m - m % 4;
+    for (r, o_row) in quads.into_remainder().chunks_exact_mut(N).enumerate() {
+        let mut s = [T::zero(); N];
+        for (p, b_row) in b.chunks_exact(N).enumerate() {
+            let x = a.row(p)[done + r];
+            for j in 0..N {
+                s[j] += x * b_row[j];
+            }
+        }
+        o_row.copy_from_slice(&s);
+    }
+}
+
+/// `out = a · bᵀ` for a narrow inner dimension `K ∈ 2..=4` (`a` is `m × K`,
+/// `b` is `n × K`): each row of `a` is held in registers while the `K`-term
+/// dot products against the rows of `b` run unrolled, each from `T::zero()`
+/// in ascending `p`.
+fn narrow_matmul_t_rows<T: Scalar, const K: usize>(a: &Matrix<T>, b: &[T], out: &mut [T]) {
+    let n = b.len() / K;
+    if n == 0 {
+        return;
+    }
+    for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+        let mut x = [T::zero(); K];
+        x.copy_from_slice(&a.row(i)[..K]);
+        for (o, b_row) in o_row.iter_mut().zip(b.chunks_exact(K)) {
+            let mut acc = T::zero();
+            for p in 0..K {
+                acc += x[p] * b_row[p];
+            }
+            *o = acc;
+        }
+    }
+}
+
 impl<T: Scalar> Matrix<T> {
     /// Naive `i-k-j` matrix product. Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix<T>) -> Matrix<T> {
@@ -197,8 +298,9 @@ impl<T: Scalar> Matrix<T> {
 
     /// [`Matrix::matmul`] into a caller-owned output (reshaped and zeroed,
     /// reusing its allocation). Bit-for-bit identical to `matmul`. A
-    /// single-column `rhs` takes a row-dot-product path with the same
-    /// per-element operation sequence.
+    /// single-column `rhs` takes a row-dot-product path, and a 2–4 column
+    /// `rhs` a register-accumulator path, both with the same per-element
+    /// operation sequence.
     pub fn matmul_into(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
         assert_eq!(
             self.cols(),
@@ -211,9 +313,13 @@ impl<T: Scalar> Matrix<T> {
         );
         let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
         out.resize_zeroed(m, n);
-        if n == 1 {
-            matvec_rows(self, rhs.as_slice(), out.as_mut_slice());
-            return;
+        let (b, o) = (rhs.as_slice(), out.as_mut_slice());
+        match n {
+            1 => return matvec_rows(self, b, o),
+            2 => return narrow_matmul_rows::<T, 2>(self, b, o),
+            3 => return narrow_matmul_rows::<T, 3>(self, b, o),
+            4 => return narrow_matmul_rows::<T, 4>(self, b, o),
+            _ => {}
         }
         for i in 0..m {
             let a_row = self.row(i);
@@ -382,7 +488,9 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// [`Matrix::t_matmul`] into a caller-owned output (reshaped and zeroed,
-    /// reusing its allocation). Bit-for-bit identical to `t_matmul`.
+    /// reusing its allocation). Bit-for-bit identical to `t_matmul`; a 2–4
+    /// column `rhs` takes a register-accumulator path with the same
+    /// per-element operation sequence.
     pub fn t_matmul_into(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
         assert_eq!(
             self.rows(),
@@ -393,6 +501,13 @@ impl<T: Scalar> Matrix<T> {
         );
         let (k, m, n) = (self.rows(), self.cols(), rhs.cols());
         out.resize_zeroed(m, n);
+        let (b, o) = (rhs.as_slice(), out.as_mut_slice());
+        match n {
+            2 => return narrow_t_matmul_rows::<T, 2>(self, b, o),
+            3 => return narrow_t_matmul_rows::<T, 3>(self, b, o),
+            4 => return narrow_t_matmul_rows::<T, 4>(self, b, o),
+            _ => {}
+        }
         for p in 0..k {
             let a_row = self.row(p);
             let b_row = rhs.row(p);
@@ -413,7 +528,9 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// [`Matrix::matmul_t`] into a caller-owned output (reshaped and zeroed,
-    /// reusing its allocation). Bit-for-bit identical to `matmul_t`.
+    /// reusing its allocation). Bit-for-bit identical to `matmul_t`; an
+    /// inner dimension of 2–4 takes an unrolled path with the same
+    /// per-element operation sequence.
     pub fn matmul_t_into(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
         assert_eq!(
             self.cols(),
@@ -424,6 +541,13 @@ impl<T: Scalar> Matrix<T> {
         );
         let (m, k, n) = (self.rows(), self.cols(), rhs.rows());
         out.resize_zeroed(m, n);
+        let (b, o) = (rhs.as_slice(), out.as_mut_slice());
+        match k {
+            2 => return narrow_matmul_t_rows::<T, 2>(self, b, o),
+            3 => return narrow_matmul_t_rows::<T, 3>(self, b, o),
+            4 => return narrow_matmul_t_rows::<T, 4>(self, b, o),
+            _ => {}
+        }
         for i in 0..m {
             let a_row = self.row(i);
             let o_row = out.row_mut(i);

@@ -150,6 +150,63 @@ proptest! {
     }
 
     #[test]
+    fn narrow_paths_are_bit_identical_to_ascending_p_reference(
+        m in 1usize..11, k in 0usize..40, w in 1usize..6, seed in 0u64..1000
+    ) {
+        // The narrow branches — `matmul_into` and `t_matmul_into` with
+        // n ∈ 2..=4 output columns, `matmul_t_into` with an inner dimension
+        // k ∈ 2..=4 — against the naive per-element chain, on IEEE edge
+        // cases. `w` ∈ 1..=5 straddles both edges of each dispatch, so the
+        // generic loops on either side are pinned to the same bits too.
+        let bits = |v: &Matrix<f64>| v.as_slice().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let mut out = Matrix::filled(2, 3, f64::NAN); // stale contents
+
+        let a = edge_matrix(m, k, seed);
+        let b = edge_matrix(k, w, seed.wrapping_add(3));
+        a.matmul_into(&b, &mut out);
+        prop_assert_eq!(out.shape(), (m, w));
+        prop_assert_eq!(bits(&out), bits(&reference_product(&a, &b)));
+
+        let at = edge_matrix(k, m, seed.wrapping_add(7));
+        at.t_matmul_into(&b, &mut out);
+        prop_assert_eq!(out.shape(), (m, w));
+        prop_assert_eq!(bits(&out), bits(&reference_product(&at.transpose(), &b)));
+
+        let c = edge_matrix(m, w, seed.wrapping_add(11));
+        let d = edge_matrix(k, w, seed.wrapping_add(13));
+        c.matmul_t_into(&d, &mut out);
+        prop_assert_eq!(out.shape(), (m, k));
+        prop_assert_eq!(bits(&out), bits(&reference_product(&c, &d.transpose())));
+    }
+
+    #[test]
+    fn narrow_paths_saturate_identically_on_q20(
+        m in 1usize..11, k in 0usize..40, w in 1usize..6, seed in 0u64..1000
+    ) {
+        // The same three pins on full-range Q20 raw words, where products
+        // and running sums saturate and the add order decides the result.
+        let raw = |v: &Matrix<Q20>| v.as_slice().iter().map(|e| e.to_raw()).collect::<Vec<_>>();
+        let mut out = Matrix::zeros(1, 1);
+
+        let a = raw_q20_matrix(m, k, seed);
+        let b = raw_q20_matrix(k, w, seed.wrapping_add(3));
+        a.matmul_into(&b, &mut out);
+        prop_assert_eq!(out.shape(), (m, w));
+        prop_assert_eq!(raw(&out), raw(&reference_product(&a, &b)));
+
+        let at = raw_q20_matrix(k, m, seed.wrapping_add(7));
+        at.t_matmul_into(&b, &mut out);
+        prop_assert_eq!(out.shape(), (m, w));
+        prop_assert_eq!(raw(&out), raw(&reference_product(&at.transpose(), &b)));
+
+        let c = raw_q20_matrix(m, w, seed.wrapping_add(11));
+        let d = raw_q20_matrix(k, w, seed.wrapping_add(13));
+        c.matmul_t_into(&d, &mut out);
+        prop_assert_eq!(out.shape(), (m, k));
+        prop_assert_eq!(raw(&out), raw(&reference_product(&c, &d.transpose())));
+    }
+
+    #[test]
     fn lu_solves_well_conditioned_systems(n in 1usize..7, seed in 0u64..200) {
         let mut a = seeded_matrix(n, n, seed);
         for i in 0..n { a[(i, i)] += 10.0; } // diagonally dominant => nonsingular

@@ -78,21 +78,10 @@ impl Activation {
         }
     }
 
-    /// Apply element-wise to a matrix.
-    pub fn apply_matrix(self, m: &Matrix<f64>) -> Matrix<f64> {
-        m.map(|x| self.apply(x))
-    }
-
-    /// Apply element-wise in place — the allocation-free form used by the
-    /// inference workspace passes. Identical results to
-    /// [`Activation::apply_matrix`].
+    /// Apply element-wise in place — the one matrix form, shared by the
+    /// inference and the training forward passes.
     pub fn apply_matrix_inplace(self, m: &mut Matrix<f64>) {
         m.map_inplace(|x| self.apply(x));
-    }
-
-    /// Element-wise derivative of a matrix of pre-activations.
-    pub fn derivative_matrix(self, m: &Matrix<f64>) -> Matrix<f64> {
-        m.map(|x| self.derivative(x))
     }
 
     /// The Lipschitz constant of the activation (§2.5: ≤ 1 for ReLU and tanh).
@@ -168,10 +157,11 @@ mod tests {
     #[test]
     fn matrix_application() {
         let m = Matrix::from_rows(&[vec![-1.0, 2.0], vec![0.5, -0.5]]);
-        let r = Activation::ReLU.apply_matrix(&m);
+        let mut r = m.clone();
+        Activation::ReLU.apply_matrix_inplace(&mut r);
         assert_eq!(r[(0, 0)], 0.0);
         assert_eq!(r[(0, 1)], 2.0);
-        let d = Activation::ReLU.derivative_matrix(&m);
+        let d = m.map(|x| Activation::ReLU.derivative(x));
         assert_eq!(d[(0, 0)], 0.0);
         assert_eq!(d[(1, 0)], 1.0);
     }

@@ -1,25 +1,32 @@
-//! A fully-connected (dense) layer with cached activations for backprop.
+//! A fully-connected (dense) layer with reusable backprop workspaces.
 
 use crate::activation::Activation;
+use crate::optimizer::Optimizer;
 use elmrl_linalg::random::xavier_uniform;
 use elmrl_linalg::Matrix;
 use rand::Rng;
 
 /// One dense layer: `y = G(x·W + b)` with `W ∈ R^{in×out}`, `b ∈ R^{1×out}`.
 ///
-/// The layer caches its last input and pre-activation during
-/// [`DenseLayer::forward_training`] so that [`DenseLayer::backward`] can
-/// compute parameter gradients without re-running the forward pass.
+/// [`DenseLayer::forward_training`] caches the input, pre-activation and
+/// output so that [`DenseLayer::backward`] can compute gradients without
+/// re-running the forward pass. Every cache and gradient is an owned
+/// workspace matrix, reshaped in place on each call, so a training step at
+/// a steady batch shape performs no heap allocation.
 #[derive(Clone, Debug)]
 pub struct DenseLayer {
     weights: Matrix<f64>,
     bias: Matrix<f64>,
     activation: Activation,
-    // caches for backprop
-    last_input: Option<Matrix<f64>>,
-    last_preact: Option<Matrix<f64>>,
+    /// Whether the caches hold a forward pass (`backward` needs one).
+    cached: bool,
+    input: Matrix<f64>,
+    preact: Matrix<f64>,
+    output: Matrix<f64>,
+    dz: Matrix<f64>,
     grad_weights: Matrix<f64>,
     grad_bias: Matrix<f64>,
+    grad_input: Matrix<f64>,
 }
 
 impl DenseLayer {
@@ -34,10 +41,14 @@ impl DenseLayer {
             weights: xavier_uniform(input_dim, output_dim, rng),
             bias: Matrix::zeros(1, output_dim),
             activation,
-            last_input: None,
-            last_preact: None,
+            cached: false,
+            input: Matrix::default(),
+            preact: Matrix::default(),
+            output: Matrix::default(),
+            dz: Matrix::default(),
             grad_weights: Matrix::zeros(input_dim, output_dim),
             grad_bias: Matrix::zeros(1, output_dim),
+            grad_input: Matrix::default(),
         }
     }
 
@@ -66,22 +77,27 @@ impl DenseLayer {
         &self.bias
     }
 
-    /// Mutable access to the weight matrix (used by optimisers and tests).
+    /// Mutable access to the weight matrix (used by tests).
     pub fn weights_mut(&mut self) -> &mut Matrix<f64> {
         &mut self.weights
     }
 
-    /// Mutable access to the bias (used by optimisers and tests).
+    /// Mutable access to the bias (used by tests).
     pub fn bias_mut(&mut self) -> &mut Matrix<f64> {
         &mut self.bias
     }
 
-    /// Gradient of the loss w.r.t. the weights, from the last `backward`.
+    /// The output of the last [`DenseLayer::forward_training`].
+    pub(crate) fn output(&self) -> &Matrix<f64> {
+        &self.output
+    }
+
+    /// Gradient of the loss w.r.t. the weights, from the last backward pass.
     pub fn grad_weights(&self) -> &Matrix<f64> {
         &self.grad_weights
     }
 
-    /// Gradient of the loss w.r.t. the bias, from the last `backward`.
+    /// Gradient of the loss w.r.t. the bias, from the last backward pass.
     pub fn grad_bias(&self) -> &Matrix<f64> {
         &self.grad_bias
     }
@@ -102,92 +118,118 @@ impl DenseLayer {
     /// reusing its allocation) — the allocation-free inference form.
     /// Bit-for-bit identical to `forward`.
     pub fn forward_into(&self, input: &Matrix<f64>, out: &mut Matrix<f64>) {
-        self.affine_into(input, out);
+        affine_into(&self.weights, &self.bias, input, out);
         self.activation.apply_matrix_inplace(out);
     }
 
-    /// Forward pass that caches input and pre-activation for a subsequent
-    /// [`DenseLayer::backward`] call.
-    pub fn forward_training(&mut self, input: &Matrix<f64>) -> Matrix<f64> {
-        let pre = self.affine(input);
-        let out = self.activation.apply_matrix(&pre);
-        self.last_input = Some(input.clone());
-        self.last_preact = Some(pre);
-        out
+    /// Forward pass that caches input, pre-activation and output for a
+    /// subsequent [`DenseLayer::backward`] call, and returns the output.
+    /// Bit-for-bit identical to [`DenseLayer::forward`].
+    pub fn forward_training(&mut self, input: &Matrix<f64>) -> &Matrix<f64> {
+        self.input.clone_from(input);
+        affine_into(&self.weights, &self.bias, input, &mut self.preact);
+        self.output.clone_from(&self.preact);
+        self.activation.apply_matrix_inplace(&mut self.output);
+        self.cached = true;
+        &self.output
     }
 
-    fn affine(&self, input: &Matrix<f64>) -> Matrix<f64> {
-        let mut pre = Matrix::zeros(input.rows(), self.weights.cols());
-        self.affine_into(input, &mut pre);
-        pre
-    }
-
-    /// `input·W + b` into a caller-owned matrix — the single copy of the
-    /// affine arithmetic that both the allocating and the workspace forward
-    /// paths share (keeping them bit-for-bit identical by construction).
-    fn affine_into(&self, input: &Matrix<f64>, out: &mut Matrix<f64>) {
-        assert_eq!(
-            input.cols(),
-            self.weights.rows(),
-            "dense layer: input has {} features, expected {}",
-            input.cols(),
-            self.weights.rows()
-        );
-        input.matmul_into(&self.weights, out);
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for (c, v) in row.iter_mut().enumerate() {
-                *v += self.bias[(0, c)];
-            }
-        }
-    }
-
-    /// Back-propagate `grad_output` (∂L/∂y of this layer) and return
-    /// ∂L/∂x for the previous layer. Parameter gradients are stored in the
-    /// layer until the optimiser applies them.
+    /// Back-propagate `grad_output` (∂L/∂y of this layer) into the weight
+    /// and bias gradients only — what the first layer of a network needs,
+    /// since nothing reads ∂L/∂x of the network input.
     ///
     /// Panics if called before `forward_training`.
-    pub fn backward(&mut self, grad_output: &Matrix<f64>) -> Matrix<f64> {
-        let input = self
-            .last_input
-            .as_ref()
-            .expect("backward called before forward_training");
-        let preact = self
-            .last_preact
-            .as_ref()
-            .expect("missing pre-activation cache");
+    pub(crate) fn backward_params(&mut self, grad_output: &Matrix<f64>) {
+        assert!(self.cached, "backward called before forward_training");
         assert_eq!(
             grad_output.shape(),
-            preact.shape(),
+            self.preact.shape(),
             "backward: grad shape mismatch"
         );
 
         // dL/dz = dL/dy ⊙ G'(z)
-        let dz = grad_output
-            .zip_map(&self.activation.derivative_matrix(preact), |g, d| g * d)
-            .expect("shapes checked above");
+        let activation = self.activation;
+        self.dz
+            .resize_zeroed(grad_output.rows(), grad_output.cols());
+        for ((d, &g), &z) in self
+            .dz
+            .as_mut_slice()
+            .iter_mut()
+            .zip(grad_output.iter())
+            .zip(self.preact.iter())
+        {
+            *d = g * activation.derivative(z);
+        }
 
-        // dL/dW = xᵀ · dz ; dL/db = column sums of dz ; dL/dx = dz · Wᵀ
-        self.grad_weights = input.t_matmul(&dz);
-        let mut gb = Matrix::zeros(1, dz.cols());
-        for r in 0..dz.rows() {
-            for c in 0..dz.cols() {
-                gb[(0, c)] += dz[(r, c)];
+        // dL/dW = xᵀ · dz ; dL/db = column sums of dz
+        self.input.t_matmul_into(&self.dz, &mut self.grad_weights);
+        self.grad_bias.resize_zeroed(1, self.dz.cols());
+        let gb = self.grad_bias.as_mut_slice();
+        for r in 0..self.dz.rows() {
+            for (acc, &d) in gb.iter_mut().zip(self.dz.row(r)) {
+                *acc += d;
             }
         }
-        self.grad_bias = gb;
-        dz.matmul_t(&self.weights)
     }
 
-    /// Copy the weights and bias from another layer (target-network sync).
+    /// Back-propagate `grad_output` (∂L/∂y of this layer) into the weight
+    /// and bias gradients, and return ∂L/∂x = dz · Wᵀ for the previous layer
+    /// from the layer's own workspace.
+    ///
+    /// Panics if called before `forward_training`.
+    pub fn backward(&mut self, grad_output: &Matrix<f64>) -> &Matrix<f64> {
+        self.backward_params(grad_output);
+        self.dz.matmul_t_into(&self.weights, &mut self.grad_input);
+        &self.grad_input
+    }
+
+    /// ∂L/∂x from the last [`DenseLayer::backward`].
+    pub(crate) fn grad_input(&self) -> &Matrix<f64> {
+        &self.grad_input
+    }
+
+    /// Apply the stored gradients through `optimizer`, which reads them in
+    /// place: the weights use slot `slot`, the bias slot `slot + 1`.
+    pub(crate) fn apply_gradients<O: Optimizer>(&mut self, slot: usize, optimizer: &mut O) {
+        optimizer.update(slot, &mut self.weights, &self.grad_weights);
+        optimizer.update(slot + 1, &mut self.bias, &self.grad_bias);
+    }
+
+    /// Copy the weights and bias from another layer (target-network sync),
+    /// reusing this layer's allocations.
     pub fn copy_parameters_from(&mut self, other: &DenseLayer) {
         assert_eq!(
             self.weights.shape(),
             other.weights.shape(),
             "copy: weight shape mismatch"
         );
-        self.weights = other.weights.clone();
-        self.bias = other.bias.clone();
+        self.weights.clone_from(&other.weights);
+        self.bias.clone_from(&other.bias);
+    }
+}
+
+/// `input·W + b` into a caller-owned matrix — the single copy of the affine
+/// arithmetic that the inference and the training forward passes share
+/// (keeping them bit-for-bit identical by construction).
+fn affine_into(
+    weights: &Matrix<f64>,
+    bias: &Matrix<f64>,
+    input: &Matrix<f64>,
+    out: &mut Matrix<f64>,
+) {
+    assert_eq!(
+        input.cols(),
+        weights.rows(),
+        "dense layer: input has {} features, expected {}",
+        input.cols(),
+        weights.rows()
+    );
+    input.matmul_into(weights, out);
+    let bias = bias.row(0);
+    for r in 0..out.rows() {
+        for (v, &b) in out.row_mut(r).iter_mut().zip(bias) {
+            *v += b;
+        }
     }
 }
 
@@ -231,7 +273,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.1, -0.2, 0.3], vec![1.0, 0.5, -1.0]]);
         let inference = l.forward(&x);
         let training = l.forward_training(&x);
-        assert!(inference.max_abs_diff(&training) < 1e-15);
+        assert!(inference.max_abs_diff(training) < 1e-15);
     }
 
     #[test]
@@ -254,9 +296,9 @@ mod tests {
         };
 
         // analytic gradients
-        let y = l.forward_training(&x);
+        let y = l.forward_training(&x).clone();
         let grad_out = &y - &target; // dL/dy for 0.5·Σ(y−t)²
-        let grad_in = l.backward(&grad_out);
+        let grad_in = l.backward(&grad_out).clone();
 
         let h = 1e-6;
         // check dL/dW for a few entries

@@ -42,15 +42,22 @@ impl Loss {
     }
 
     /// Gradient of the loss with respect to `pred`, already divided by the
-    /// number of elements (so the optimiser sees the mean gradient).
-    pub fn gradient(self, pred: &Matrix<f64>, target: &Matrix<f64>) -> Matrix<f64> {
+    /// number of elements (so the optimiser sees the mean gradient), written
+    /// into `out` (reshaped, reusing its allocation).
+    pub fn gradient_into(self, pred: &Matrix<f64>, target: &Matrix<f64>, out: &mut Matrix<f64>) {
         assert_eq!(
             pred.shape(),
             target.shape(),
             "loss gradient: shape mismatch"
         );
         let n = pred.len() as f64;
-        pred.zip_map(target, |p, t| {
+        out.resize_zeroed(pred.rows(), pred.cols());
+        for ((o, &p), &t) in out
+            .as_mut_slice()
+            .iter_mut()
+            .zip(pred.iter())
+            .zip(target.iter())
+        {
             let d = p - t;
             let g = match self {
                 Loss::Mse => 2.0 * d,
@@ -62,9 +69,8 @@ impl Loss {
                     }
                 }
             };
-            g / n
-        })
-        .expect("shapes already checked")
+            *o = g / n;
+        }
     }
 }
 
@@ -94,7 +100,8 @@ mod tests {
     fn huber_gradient_is_clipped() {
         let target = Matrix::from_rows(&[vec![0.0, 0.0, 0.0]]);
         let pred = Matrix::from_rows(&[vec![0.5, 5.0, -5.0]]);
-        let g = Loss::Huber.gradient(&pred, &target);
+        let mut g = Matrix::default();
+        Loss::Huber.gradient_into(&pred, &target, &mut g);
         // divided by n = 3
         assert!((g[(0, 0)] - 0.5 / 3.0).abs() < 1e-12);
         assert!((g[(0, 1)] - 1.0 / 3.0).abs() < 1e-12);
@@ -107,7 +114,8 @@ mod tests {
         let pred = Matrix::from_rows(&[vec![0.5, -0.2], vec![0.4, 2.0]]);
         let h = 1e-6;
         for loss in [Loss::Mse, Loss::Huber] {
-            let g = loss.gradient(&pred, &target);
+            let mut g = Matrix::default();
+            loss.gradient_into(&pred, &target, &mut g);
             for r in 0..2 {
                 for c in 0..2 {
                     let mut plus = pred.clone();

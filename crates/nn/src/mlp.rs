@@ -78,6 +78,8 @@ pub struct MlpScratch {
 pub struct Mlp {
     layers: Vec<DenseLayer>,
     config: MlpConfig,
+    /// ∂L/∂y of the output layer — the backward pass's reused seed.
+    grad_output: Matrix<f64>,
 }
 
 impl Mlp {
@@ -98,7 +100,11 @@ impl Mlp {
                 rng,
             ));
         }
-        Self { layers, config }
+        Self {
+            layers,
+            config,
+            grad_output: Matrix::default(),
+        }
     }
 
     /// The configuration used to build this network.
@@ -187,8 +193,55 @@ impl Mlp {
         out.as_mut_slice().copy_from_slice(last.as_slice());
     }
 
-    /// One optimisation step on a batch: forward, loss gradient, backward,
-    /// and parameter update. Returns the scalar loss before the update.
+    /// Forward pass that fills every layer's backprop caches, returning the
+    /// output layer's activations (borrowed from its cache). Bit-for-bit
+    /// identical to [`Mlp::forward`]; allocation-free once the caches have
+    /// seen the batch shape. Follow with [`Mlp::backward_update`].
+    pub fn forward_training(&mut self, input: &Matrix<f64>) -> &Matrix<f64> {
+        self.layers[0].forward_training(input);
+        for i in 1..self.layers.len() {
+            let (done, rest) = self.layers.split_at_mut(i);
+            rest[0].forward_training(done[i - 1].output());
+        }
+        self.layers.last().expect("an MLP has layers").output()
+    }
+
+    /// The second half of a training step, on the caches of the last
+    /// [`Mlp::forward_training`]: loss gradient, backward pass (∂L/∂x is
+    /// skipped for the first layer, whose input nothing trains) and one
+    /// optimiser update per parameter tensor, which reads the gradients in
+    /// place. Returns the loss before the update.
+    pub fn backward_update<O: Optimizer>(
+        &mut self,
+        target: &Matrix<f64>,
+        loss: Loss,
+        optimizer: &mut O,
+    ) -> f64 {
+        let pred = self.layers.last().expect("an MLP has layers").output();
+        let loss_value = loss.value(pred, target);
+        loss.gradient_into(pred, target, &mut self.grad_output);
+        for i in (0..self.layers.len()).rev() {
+            let (below, above) = self.layers.split_at_mut(i + 1);
+            let upstream = match above.first() {
+                Some(next) => next.grad_input(),
+                None => &self.grad_output,
+            };
+            if i == 0 {
+                below[i].backward_params(upstream);
+            } else {
+                below[i].backward(upstream);
+            }
+        }
+
+        // update (two slots per layer: weights then bias)
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            layer.apply_gradients(2 * i, optimizer);
+        }
+        loss_value
+    }
+
+    /// One optimisation step on a batch: [`Mlp::forward_training`] then
+    /// [`Mlp::backward_update`]. Returns the scalar loss before the update.
     pub fn train_step<O: Optimizer>(
         &mut self,
         input: &Matrix<f64>,
@@ -196,27 +249,8 @@ impl Mlp {
         loss: Loss,
         optimizer: &mut O,
     ) -> f64 {
-        // forward with caches
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward_training(&x);
-        }
-        let loss_value = loss.value(&x, target);
-
-        // backward
-        let mut grad = loss.gradient(&x, target);
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-
-        // update (two slots per layer: weights then bias)
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let gw = layer.grad_weights().clone();
-            let gb = layer.grad_bias().clone();
-            optimizer.update(2 * i, layer.weights_mut(), &gw);
-            optimizer.update(2 * i + 1, layer.bias_mut(), &gb);
-        }
-        loss_value
+        self.forward_training(input);
+        self.backward_update(target, loss, optimizer)
     }
 
     /// Export every layer's parameters as `(weights, bias)` pairs, in layer
@@ -405,7 +439,7 @@ mod tests {
         assert!(k.is_finite() && k > 0.0);
         // Empirically verify the bound on random input pairs.
         let mut max_ratio: f64 = 0.0;
-        for i in 0..20 {
+        for _ in 0..20 {
             let x1 = elmrl_linalg::random::uniform_matrix::<f64, _>(1, 4, -1.0, 1.0, &mut rng);
             let x2 = elmrl_linalg::random::uniform_matrix::<f64, _>(1, 4, -1.0, 1.0, &mut rng);
             let dy = (&net.forward(&x1) - &net.forward(&x2)).frobenius_norm();
@@ -413,7 +447,6 @@ mod tests {
             if dx > 1e-9 {
                 max_ratio = max_ratio.max(dy / dx);
             }
-            let _ = i;
         }
         assert!(
             max_ratio <= k + 1e-9,

@@ -157,15 +157,23 @@ impl Optimizer for Adam {
         let bias1 = 1.0 - self.beta1.powf(t);
         let bias2 = 1.0 - self.beta2.powf(t);
 
-        for i in 0..param.len() {
-            let g = grad.as_slice()[i];
-            let m = &mut entry.0.as_mut_slice()[i];
-            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-            let v = &mut entry.1.as_mut_slice()[i];
-            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let moments = entry
+            .0
+            .as_mut_slice()
+            .iter_mut()
+            .zip(entry.1.as_mut_slice());
+        for ((p, &g), (m, v)) in param
+            .as_mut_slice()
+            .iter_mut()
+            .zip(grad.iter())
+            .zip(moments)
+        {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
             let m_hat = *m / bias1;
             let v_hat = *v / bias2;
-            param.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 

@@ -67,24 +67,58 @@ impl ReplayBuffer {
         self.buffer.len() == self.capacity
     }
 
-    /// Append a transition, evicting the oldest one when full.
-    pub fn push(&mut self, t: Transition) {
-        if self.buffer.len() == self.capacity {
-            self.buffer.pop_front();
+    /// Append a transition, evicting the oldest one when full. A full
+    /// buffer recycles the evicted transition's vectors for the new one, so
+    /// pushing into it performs no heap allocation.
+    pub fn push(
+        &mut self,
+        state: &[f64],
+        action: usize,
+        reward: f64,
+        next_state: &[f64],
+        done: bool,
+    ) {
+        if self.buffer.len() < self.capacity {
+            self.buffer.push_back(Transition {
+                state: state.to_vec(),
+                action,
+                reward,
+                next_state: next_state.to_vec(),
+                done,
+            });
+            return;
         }
+        let mut t = self.buffer.pop_front().expect("a full buffer is non-empty");
+        t.state.clear();
+        t.state.extend_from_slice(state);
+        t.next_state.clear();
+        t.next_state.extend_from_slice(next_state);
+        t.action = action;
+        t.reward = reward;
+        t.done = done;
         self.buffer.push_back(t);
     }
 
-    /// Uniformly sample `batch_size` transitions (with replacement when the
-    /// buffer is smaller than the batch). Returns an empty vector when the
-    /// buffer is empty.
-    pub fn sample<R: Rng + ?Sized>(&self, batch_size: usize, rng: &mut R) -> Vec<&Transition> {
+    /// Draw `batch_size` uniform indices (with replacement) into `indices`
+    /// (cleared first, capacity reused): one `gen_range` draw per index, in
+    /// order. Leaves `indices` empty when the buffer is empty. Read the
+    /// sampled transitions back with [`ReplayBuffer::get`].
+    pub fn sample_indices<R: Rng + ?Sized>(
+        &self,
+        batch_size: usize,
+        rng: &mut R,
+        indices: &mut Vec<usize>,
+    ) {
+        indices.clear();
         if self.buffer.is_empty() {
-            return Vec::new();
+            return;
         }
-        (0..batch_size)
-            .map(|_| &self.buffer[rng.gen_range(0..self.buffer.len())])
-            .collect()
+        indices.extend((0..batch_size).map(|_| rng.gen_range(0..self.buffer.len())));
+    }
+
+    /// The transition at `index` (0 = oldest). Panics when out of range.
+    pub fn get(&self, index: usize) -> &Transition {
+        &self.buffer[index]
     }
 
     /// Iterate over the stored transitions from oldest to newest.
@@ -117,14 +151,18 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn transition(i: usize) -> Transition {
-        Transition {
-            state: vec![i as f64; 4],
-            action: i % 2,
-            reward: 1.0,
-            next_state: vec![i as f64 + 1.0; 4],
-            done: false,
-        }
+    fn push(buf: &mut ReplayBuffer, i: usize) {
+        buf.push(&[i as f64; 4], i % 2, 1.0, &[i as f64 + 1.0; 4], false);
+    }
+
+    fn sample<'a>(
+        buf: &'a ReplayBuffer,
+        batch_size: usize,
+        rng: &mut SmallRng,
+    ) -> Vec<&'a Transition> {
+        let mut indices = Vec::new();
+        buf.sample_indices(batch_size, rng, &mut indices);
+        indices.iter().map(|&i| buf.get(i)).collect()
     }
 
     #[test]
@@ -133,11 +171,11 @@ mod tests {
         assert!(buf.is_empty());
         assert_eq!(buf.capacity(), 3);
         for i in 0..2 {
-            buf.push(transition(i));
+            push(&mut buf, i);
         }
         assert_eq!(buf.len(), 2);
         assert!(!buf.is_full());
-        buf.push(transition(2));
+        push(&mut buf, 2);
         assert!(buf.is_full());
     }
 
@@ -145,42 +183,47 @@ mod tests {
     fn eviction_is_fifo() {
         let mut buf = ReplayBuffer::new(3);
         for i in 0..5 {
-            buf.push(transition(i));
+            push(&mut buf, i);
         }
         assert_eq!(buf.len(), 3);
         let states: Vec<f64> = buf.iter().map(|t| t.state[0]).collect();
         assert_eq!(states, vec![2.0, 3.0, 4.0]);
+        // The recycled slots carry the whole new transition.
+        let next: Vec<f64> = buf.iter().map(|t| t.next_state[3]).collect();
+        assert_eq!(next, vec![3.0, 4.0, 5.0]);
+        let actions: Vec<usize> = buf.iter().map(|t| t.action).collect();
+        assert_eq!(actions, vec![0, 1, 0]);
     }
 
     #[test]
     fn sampling_returns_requested_count() {
         let mut buf = ReplayBuffer::new(10);
         for i in 0..10 {
-            buf.push(transition(i));
+            push(&mut buf, i);
         }
         let mut rng = SmallRng::seed_from_u64(0);
-        let batch = buf.sample(32, &mut rng);
+        let batch = sample(&buf, 32, &mut rng);
         assert_eq!(batch.len(), 32);
         assert!(batch.iter().all(|t| t.state[0] < 10.0));
-        assert!(buf.sample(4, &mut rng).len() == 4);
+        assert!(sample(&buf, 4, &mut rng).len() == 4);
     }
 
     #[test]
     fn sampling_from_empty_buffer_is_empty() {
         let buf = ReplayBuffer::new(4);
         let mut rng = SmallRng::seed_from_u64(0);
-        assert!(buf.sample(8, &mut rng).is_empty());
+        assert!(sample(&buf, 8, &mut rng).is_empty());
     }
 
     #[test]
     fn sampling_covers_the_buffer_eventually() {
         let mut buf = ReplayBuffer::new(8);
         for i in 0..8 {
-            buf.push(transition(i));
+            push(&mut buf, i);
         }
         let mut rng = SmallRng::seed_from_u64(3);
         let mut seen = [false; 8];
-        for t in buf.sample(400, &mut rng) {
+        for t in sample(&buf, 400, &mut rng) {
             seen[t.state[0] as usize] = true;
         }
         assert!(
@@ -192,7 +235,7 @@ mod tests {
     #[test]
     fn clear_and_bytes() {
         let mut buf = ReplayBuffer::new(4);
-        buf.push(transition(0));
+        push(&mut buf, 0);
         assert!(buf.approximate_bytes() > 8 * std::mem::size_of::<f64>());
         buf.clear();
         assert!(buf.is_empty());
