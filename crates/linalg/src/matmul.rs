@@ -25,11 +25,11 @@
 //! steady-state hot loops — the OS-ELM RLS update above all — perform zero
 //! matrix heap allocations.
 //!
-//! Narrow shapes — the `Ñ → |A|` output layer of a Q-network, where one
-//! side of the product is 1–4 wide — take dedicated paths inside the same
-//! `*_into` entry points: [`Matrix::matmul_into`] for `n ≤ 4` output
-//! columns, [`Matrix::t_matmul_into`] for `n ≤ 4` and
-//! [`Matrix::matmul_t_into`] for an inner dimension `k ≤ 4`. Each keeps its
+//! Narrow shapes — the `Ñ → 2` output layer of a CartPole Q-network, where
+//! one side of the product is 1 or 2 wide — take dedicated paths inside the
+//! same `*_into` entry points: [`Matrix::matmul_into`] for `n ≤ 2` output
+//! columns, [`Matrix::t_matmul_into`] for `n = 2` and
+//! [`Matrix::matmul_t_into`] for an inner dimension `k = 2`. Each keeps its
 //! accumulators in registers instead of running a 2-element inner loop, and
 //! each still starts every element from `T::zero()` and adds its terms in
 //! ascending `p`, so they are bit-for-bit identical for every [`Scalar`].
@@ -196,11 +196,16 @@ fn matvec_rows<T: Scalar>(a: &Matrix<T>, x: &[T], out: &mut [T]) {
     }
 }
 
-/// `out = a · b` for a narrow `b` of `N ∈ 2..=4` columns. Two rows of `a`
-/// are in flight at once, each with `N` accumulators that start from
+/// Width of the narrow paths: the `|A| = 2` output layer of the CartPole
+/// Q-networks. Wider outputs take the generic loops.
+const NARROW: usize = 2;
+
+/// `out = a · b` for a `b` of [`NARROW`] columns. Two rows of `a` are in
+/// flight at once, each with [`NARROW`] accumulators that start from
 /// `T::zero()` and take their terms in ascending `p` — the per-element
-/// sequence of the `i-k-j` loop, without its `N`-long inner loop.
-fn narrow_matmul_rows<T: Scalar, const N: usize>(a: &Matrix<T>, b: &[T], out: &mut [T]) {
+/// sequence of the `i-k-j` loop, without its 2-long inner loop.
+fn narrow_matmul_rows<T: Scalar>(a: &Matrix<T>, b: &[T], out: &mut [T]) {
+    const N: usize = NARROW;
     let k = a.cols();
     let b = &b[..k * N];
     let m = out.len() / N;
@@ -229,12 +234,13 @@ fn narrow_matmul_rows<T: Scalar, const N: usize>(a: &Matrix<T>, b: &[T], out: &m
     }
 }
 
-/// `out = aᵀ · b` for a narrow `b` of `N ∈ 2..=4` columns (`a` is `k × m`).
-/// Four output rows (columns of `a`) are in flight at once, reading one
+/// `out = aᵀ · b` for a `b` of [`NARROW`] columns (`a` is `k × m`). Four
+/// output rows (columns of `a`) are in flight at once, reading one
 /// contiguous 4-wide segment of each `a` row per `p`; every accumulator
 /// starts from `T::zero()` and adds its terms in ascending `p`, as the
 /// `p-i-j` loop does.
-fn narrow_t_matmul_rows<T: Scalar, const N: usize>(a: &Matrix<T>, b: &[T], out: &mut [T]) {
+fn narrow_t_matmul_rows<T: Scalar>(a: &Matrix<T>, b: &[T], out: &mut [T]) {
+    const N: usize = NARROW;
     let (k, m) = (a.rows(), a.cols());
     let b = &b[..k * N];
     let mut quads = out.chunks_exact_mut(4 * N);
@@ -266,11 +272,12 @@ fn narrow_t_matmul_rows<T: Scalar, const N: usize>(a: &Matrix<T>, b: &[T], out: 
     }
 }
 
-/// `out = a · bᵀ` for a narrow inner dimension `K ∈ 2..=4` (`a` is `m × K`,
-/// `b` is `n × K`): each row of `a` is held in registers while the `K`-term
+/// `out = a · bᵀ` for an inner dimension of [`NARROW`] (`a` is `m × 2`,
+/// `b` is `n × 2`): each row of `a` is held in registers while the 2-term
 /// dot products against the rows of `b` run unrolled, each from `T::zero()`
 /// in ascending `p`.
-fn narrow_matmul_t_rows<T: Scalar, const K: usize>(a: &Matrix<T>, b: &[T], out: &mut [T]) {
+fn narrow_matmul_t_rows<T: Scalar>(a: &Matrix<T>, b: &[T], out: &mut [T]) {
+    const K: usize = NARROW;
     let n = b.len() / K;
     if n == 0 {
         return;
@@ -298,7 +305,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// [`Matrix::matmul`] into a caller-owned output (reshaped and zeroed,
     /// reusing its allocation). Bit-for-bit identical to `matmul`. A
-    /// single-column `rhs` takes a row-dot-product path, and a 2–4 column
+    /// single-column `rhs` takes a row-dot-product path, and a two-column
     /// `rhs` a register-accumulator path, both with the same per-element
     /// operation sequence.
     pub fn matmul_into(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
@@ -316,9 +323,7 @@ impl<T: Scalar> Matrix<T> {
         let (b, o) = (rhs.as_slice(), out.as_mut_slice());
         match n {
             1 => return matvec_rows(self, b, o),
-            2 => return narrow_matmul_rows::<T, 2>(self, b, o),
-            3 => return narrow_matmul_rows::<T, 3>(self, b, o),
-            4 => return narrow_matmul_rows::<T, 4>(self, b, o),
+            NARROW => return narrow_matmul_rows(self, b, o),
             _ => {}
         }
         for i in 0..m {
@@ -488,8 +493,8 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// [`Matrix::t_matmul`] into a caller-owned output (reshaped and zeroed,
-    /// reusing its allocation). Bit-for-bit identical to `t_matmul`; a 2–4
-    /// column `rhs` takes a register-accumulator path with the same
+    /// reusing its allocation). Bit-for-bit identical to `t_matmul`; a
+    /// two-column `rhs` takes a register-accumulator path with the same
     /// per-element operation sequence.
     pub fn t_matmul_into(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
         assert_eq!(
@@ -502,11 +507,8 @@ impl<T: Scalar> Matrix<T> {
         let (k, m, n) = (self.rows(), self.cols(), rhs.cols());
         out.resize_zeroed(m, n);
         let (b, o) = (rhs.as_slice(), out.as_mut_slice());
-        match n {
-            2 => return narrow_t_matmul_rows::<T, 2>(self, b, o),
-            3 => return narrow_t_matmul_rows::<T, 3>(self, b, o),
-            4 => return narrow_t_matmul_rows::<T, 4>(self, b, o),
-            _ => {}
+        if n == NARROW {
+            return narrow_t_matmul_rows(self, b, o);
         }
         for p in 0..k {
             let a_row = self.row(p);
@@ -529,7 +531,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// [`Matrix::matmul_t`] into a caller-owned output (reshaped and zeroed,
     /// reusing its allocation). Bit-for-bit identical to `matmul_t`; an
-    /// inner dimension of 2–4 takes an unrolled path with the same
+    /// inner dimension of 2 takes an unrolled path with the same
     /// per-element operation sequence.
     pub fn matmul_t_into(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
         assert_eq!(
@@ -542,11 +544,8 @@ impl<T: Scalar> Matrix<T> {
         let (m, k, n) = (self.rows(), self.cols(), rhs.rows());
         out.resize_zeroed(m, n);
         let (b, o) = (rhs.as_slice(), out.as_mut_slice());
-        match k {
-            2 => return narrow_matmul_t_rows::<T, 2>(self, b, o),
-            3 => return narrow_matmul_t_rows::<T, 3>(self, b, o),
-            4 => return narrow_matmul_t_rows::<T, 4>(self, b, o),
-            _ => {}
+        if k == NARROW {
+            return narrow_matmul_t_rows(self, b, o);
         }
         for i in 0..m {
             let a_row = self.row(i);

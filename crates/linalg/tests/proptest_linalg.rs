@@ -154,10 +154,11 @@ proptest! {
         m in 1usize..11, k in 0usize..40, w in 1usize..6, seed in 0u64..1000
     ) {
         // The narrow branches — `matmul_into` and `t_matmul_into` with
-        // n ∈ 2..=4 output columns, `matmul_t_into` with an inner dimension
-        // k ∈ 2..=4 — against the naive per-element chain, on IEEE edge
-        // cases. `w` ∈ 1..=5 straddles both edges of each dispatch, so the
-        // generic loops on either side are pinned to the same bits too.
+        // n = 2 output columns, `matmul_t_into` with an inner dimension
+        // k = 2 — against the naive per-element chain, on IEEE edge cases.
+        // `w` ∈ 1..=5 straddles both edges of each dispatch, so the
+        // row-dot-product and generic loops on either side are pinned to
+        // the same bits too.
         let bits = |v: &Matrix<f64>| v.as_slice().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
         let mut out = Matrix::filled(2, 3, f64::NAN); // stale contents
 

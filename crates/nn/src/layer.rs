@@ -46,8 +46,8 @@ impl DenseLayer {
             preact: Matrix::default(),
             output: Matrix::default(),
             dz: Matrix::default(),
-            grad_weights: Matrix::zeros(input_dim, output_dim),
-            grad_bias: Matrix::zeros(1, output_dim),
+            grad_weights: Matrix::default(),
+            grad_bias: Matrix::default(),
             grad_input: Matrix::default(),
         }
     }
