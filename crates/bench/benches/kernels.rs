@@ -17,9 +17,6 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("matmul_naive", n), &n, |bench, _| {
             bench.iter(|| a.matmul(&b))
         });
-        group.bench_with_input(BenchmarkId::new("matmul_blocked", n), &n, |bench, _| {
-            bench.iter(|| a.matmul_blocked(&b, 64))
-        });
         group.bench_with_input(BenchmarkId::new("matmul_packed", n), &n, |bench, _| {
             bench.iter(|| a.matmul_packed(&b))
         });

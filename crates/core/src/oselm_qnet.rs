@@ -41,7 +41,7 @@ const NUMERICAL_DELTA: f64 = 1e-8;
 /// O(B·Ñ²) P passes, so past a point a wider chunk loses to two half-width
 /// ones — while the batched *target-network* evaluation keeps its full-tick
 /// hoisting either way (targets depend only on the frozen θ₂). The
-/// `scaling_kernels` bench sweeps B at Ñ ∈ {256, 512, 1024}; the crossover
+/// sweep in `BENCH_PR9.json` covers B at Ñ ∈ {256, 512, 1024}; the crossover
 /// sits past B ≈ 64 at every Ñ measured (the B² terms stay ≪ the Ñ² terms
 /// until B approaches Ñ), so the default caps at 64 — comfortably below the
 /// crossover while keeping ticks from pathological E (hundreds of parallel

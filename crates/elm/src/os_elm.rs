@@ -27,9 +27,9 @@ use std::fmt;
 /// Row-tile height of the fused P-update passes: the unit of work handed to
 /// the work-sharing pool, and the stride of the sequential tile loop. 64
 /// rows keep one tile of `P` (64·Ñ f64 = 512 KiB at Ñ = 1024) streaming
-/// through L2 while `h`/`hp` stay L1-resident; swept against 16/32/128/256
-/// in the `scaling_kernels` bench (flat within noise from 32 up, so the
-/// value matters for scheduling granularity more than locality).
+/// through L2 while `h`/`hp` stay L1-resident; a sweep against
+/// 16/32/128/256 was flat within noise from 32 up, so the value matters
+/// for scheduling granularity more than locality.
 pub const P_UPDATE_TILE: usize = 64;
 
 /// Errors produced by OS-ELM training.

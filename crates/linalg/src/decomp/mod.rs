@@ -1,22 +1,18 @@
 //! Matrix decompositions.
 //!
-//! The paper's algorithms need exactly four factorisations:
+//! The paper's algorithms need three factorisations:
 //!
 //! * **LU** (with partial pivoting) — general linear solves and inverses,
 //!   used by OS-ELM's general batch-size-`k` update.
 //! * **Cholesky** — the symmetric positive-definite solve in ELM / ReOS-ELM
 //!   initial training, `P₀ = (H₀ᵀH₀ + δI)⁻¹`.
-//! * **QR** (Householder) — an alternative route to the ELM pseudo-inverse,
-//!   mentioned alongside SVD in §2.1 of the paper.
 //! * **SVD** (one-sided Jacobi) — the pseudo-inverse and the largest singular
 //!   value `σ_max(α)` used by spectral normalization (Algorithm 1, line 2).
 
 pub mod cholesky;
 pub mod lu;
-pub mod qr;
 pub mod svd;
 
 pub use cholesky::{cholesky_into, solve_spd_into, Cholesky};
 pub use lu::Lu;
-pub use qr::Qr;
 pub use svd::Svd;

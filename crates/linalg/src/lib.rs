@@ -16,7 +16,7 @@
 //! * [`Scalar`] — the numeric trait every kernel is generic over.
 //! * [`Matrix`] — a row-major dense matrix.
 //! * [`Vector`] — a dense vector (thin wrapper over a single-column matrix's data).
-//! * [`decomp`] — LU, Cholesky, QR (Householder) and one-sided Jacobi SVD.
+//! * [`decomp`] — LU, Cholesky and one-sided Jacobi SVD.
 //! * [`solve`] — linear solves, inverses, Moore–Penrose pseudo-inverse.
 //! * [`norms`] — Frobenius/L2/∞ norms and power-iteration spectral norm.
 //! * [`random`] — seeded random matrix initialisation used by ELM's `α`.

@@ -7,16 +7,13 @@
 //!
 //! * [`Matrix::matmul`] — the straightforward triple loop with the `i-k-j`
 //!   ordering so the innermost loop walks both operands contiguously.
-//! * [`Matrix::matmul_blocked`] — the same kernel tiled to keep working sets
-//!   inside L1/L2; used by the OS-ELM software path when `Ñ ≥ 128`.
 //! * [`Matrix::matmul_packed`] — the register-blocked micro-kernel:
 //!   [`PACK_MR`] rows of the left operand are packed transposed into a
 //!   contiguous panel, then each rhs row is streamed **once per panel**
 //!   instead of once per output row. Fastest at `n ≥ 64`.
-//! * [`Matrix::matmul_parallel`] — parallel over output rows on the
-//!   `rayon`-shim work-sharing pool; worthwhile for one-off large products
-//!   (the batch ELM initial training), small products short-circuit to the
-//!   sequential kernel.
+//! * [`Matrix::matmul_auto_into`] — size dispatch over the two kernels
+//!   above, with row chunks of the packed engine on the `rayon`-shim
+//!   work-sharing pool for products above [`parallel_flop_threshold`].
 //!
 //! The `*_into` **workspace variants** ([`Matrix::matmul_into`],
 //! [`Matrix::matmul_t_into`], [`Matrix::t_matmul_into`],
@@ -42,15 +39,11 @@ use crate::scalar::Scalar;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Tile edge (in elements) for the blocked kernel. 64×64 f64 tiles are 32 KiB,
-/// matching a typical L1 data cache.
-pub const DEFAULT_BLOCK: usize = 64;
-
 /// Row-panel height of the packed micro-kernel: how many output rows share
 /// one streamed pass over the rhs. 8 spreads each rhs read over eight
 /// accumulator rows (eight independent FMA chains) while a panel's packed
-/// k-slice (`PACK_MR × PACK_KC` elements) still fits in L1; measured in the
-/// `kernels` / `scaling_kernels` benches against 4 and 16 at n ∈ {64 … 1024}.
+/// k-slice (`PACK_MR × PACK_KC` elements) still fits in L1; measured against
+/// 4 and 16 at n ∈ {64 … 1024}.
 pub const PACK_MR: usize = 8;
 
 /// Depth (inner-dimension extent) of one packed k-block. 256 keeps the
@@ -64,7 +57,7 @@ pub const PACK_KC: usize = 256;
 pub const PACK_NC: usize = 256;
 
 /// Default for [`parallel_flop_threshold`]: below this many multiply–adds
-/// the parallel entry points run the sequential kernel inline — fork/join
+/// [`Matrix::matmul_auto_into`] runs a sequential kernel inline — fork/join
 /// overhead dwarfs the work. 64³ ≈ 262k MACs ≈ the smallest product where
 /// a second worker pays for itself on the bench host (see BENCH_PR9.json).
 pub const DEFAULT_PARALLEL_FLOP_THRESHOLD: usize = 64 * 64 * 64;
@@ -74,7 +67,7 @@ pub const DEFAULT_PARALLEL_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(0);
 
 /// The minimum product size (in multiply–adds) routed to the work-sharing
-/// pool by [`Matrix::matmul_parallel`] and [`Matrix::matmul_auto_into`].
+/// pool by [`Matrix::matmul_auto_into`].
 ///
 /// Resolution order: the last [`set_parallel_flop_threshold`] call, else the
 /// `ELMRL_PAR_THRESHOLD` environment variable, else
@@ -110,8 +103,8 @@ const PACK_FLOP_THRESHOLD: usize = 8 * 8 * 8;
 /// Compute output rows `i0..i1` of `a · rhs` into `out_rows` (the caller's
 /// already-zeroed row slice of length `(i1 - i0) · rhs.cols()`).
 ///
-/// This is the one packed/blocked engine behind
-/// [`Matrix::matmul_packed_into`] and the parallel row-chunk dispatch: [`PACK_MR`]-row panels of `a` are packed
+/// This is the one packed engine behind [`Matrix::matmul_packed_into`] and
+/// the parallel row-chunk dispatch: [`PACK_MR`]-row panels of `a` are packed
 /// transposed, the inner dimension is tiled by [`PACK_KC`] and the output
 /// columns by [`PACK_NC`]. For every output element the `k` terms are still
 /// accumulated in ascending order (k-blocks ascend, `p` ascends within a
@@ -371,7 +364,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Size-dispatched product into a caller-owned output: naive loop for
-    /// tiny shapes, the packed/blocked engine in the mid range, and — when
+    /// tiny shapes, the packed engine in the mid range, and — when
     /// the product clears [`parallel_flop_threshold`] **and** the pool has
     /// more than one worker — row-chunks of the same engine on the
     /// work-sharing pool. All three branches are bit-for-bit identical, so
@@ -416,72 +409,6 @@ impl<T: Scalar> Matrix<T> {
             let mut local_pack = Vec::new();
             packed_gemm_rows(self, i0, i0 + rows, rhs, &mut local_pack, chunk);
         });
-    }
-
-    /// Cache-blocked matrix product with tile edge `block`.
-    pub fn matmul_blocked(&self, rhs: &Matrix<T>, block: usize) -> Matrix<T> {
-        assert_eq!(
-            self.cols(),
-            rhs.rows(),
-            "matmul_blocked: inner dimensions differ"
-        );
-        assert!(block > 0, "matmul_blocked: block must be positive");
-        let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
-        let mut out = Matrix::zeros(m, n);
-        for ii in (0..m).step_by(block) {
-            let i_end = (ii + block).min(m);
-            for pp in (0..k).step_by(block) {
-                let p_end = (pp + block).min(k);
-                for jj in (0..n).step_by(block) {
-                    let j_end = (jj + block).min(n);
-                    for i in ii..i_end {
-                        let a_row = self.row(i);
-                        for (p, &a_ip) in a_row.iter().enumerate().take(p_end).skip(pp) {
-                            let b_row = rhs.row(p);
-                            let o_row = out.row_mut(i);
-                            for j in jj..j_end {
-                                o_row[j] += a_ip * b_row[j];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Pool-parallel matrix product, splitting the output by rows on the
-    /// `rayon`-shim work-sharing pool. Each output row is accumulated
-    /// independently in the same inner order as [`Matrix::matmul`], so the
-    /// result is bit-for-bit identical to the sequential kernels at any
-    /// thread count. Products below [`parallel_flop_threshold`] multiply–adds
-    /// (tunable via `ELMRL_PAR_THRESHOLD`) short-circuit to the sequential
-    /// packed kernel — fork/join overhead would dominate.
-    pub fn matmul_parallel(&self, rhs: &Matrix<T>) -> Matrix<T> {
-        assert_eq!(
-            self.cols(),
-            rhs.rows(),
-            "matmul_parallel: inner dimensions differ"
-        );
-        let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
-        if m * k * n < parallel_flop_threshold() || rayon::current_num_threads() <= 1 {
-            return self.matmul_packed(rhs);
-        }
-        let rows: Vec<Vec<T>> = (0..m)
-            .into_par_iter()
-            .map(|i| {
-                let a_row = self.row(i);
-                let mut o_row = vec![T::zero(); n];
-                for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-                    let b_row = rhs.row(p);
-                    for j in 0..n {
-                        o_row[j] += a_ip * b_row[j];
-                    }
-                }
-                o_row
-            })
-            .collect();
-        Matrix::from_rows(&rows)
     }
 
     /// `selfᵀ · rhs` without materialising the transpose (a common OS-ELM
@@ -611,22 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_and_parallel_agree_with_naive() {
-        let mut rng = SmallRng::seed_from_u64(42);
-        for (m, k, n) in [(7, 5, 9), (33, 65, 17), (64, 64, 64), (100, 3, 50)] {
-            let a = uniform_matrix::<f64, _>(m, k, -2.0, 2.0, &mut rng);
-            let b = uniform_matrix::<f64, _>(k, n, -2.0, 2.0, &mut rng);
-            let naive = a.matmul(&b);
-            let blocked = a.matmul_blocked(&b, 16);
-            let blocked_default = a.matmul_blocked(&b, DEFAULT_BLOCK);
-            let parallel = a.matmul_parallel(&b);
-            assert!(approx_eq(&naive, &blocked, 1e-10));
-            assert!(approx_eq(&naive, &blocked_default, 1e-10));
-            assert!(approx_eq(&naive, &parallel, 1e-10));
-        }
-    }
-
-    #[test]
     fn transposed_kernels_agree() {
         let mut rng = SmallRng::seed_from_u64(3);
         let a = uniform_matrix::<f64, _>(6, 4, -1.0, 1.0, &mut rng);
@@ -634,13 +545,6 @@ mod tests {
         assert!(approx_eq(&a.t_matmul(&b), &a.transpose().matmul(&b), 1e-12));
         let c = uniform_matrix::<f64, _>(7, 4, -1.0, 1.0, &mut rng);
         assert!(approx_eq(&a.matmul_t(&c), &a.matmul(&c.transpose()), 1e-12));
-    }
-
-    #[test]
-    #[should_panic(expected = "block must be positive")]
-    fn zero_block_rejected() {
-        let a = Matrix::<f64>::ones(2, 2);
-        let _ = a.matmul_blocked(&a, 0);
     }
 
     #[test]
@@ -714,17 +618,5 @@ mod tests {
             a.t_matmul_into(&d, &mut out);
             assert_eq!(out, a.t_matmul(&d));
         }
-    }
-
-    #[test]
-    fn parallel_kernel_is_bit_identical_above_threshold() {
-        let mut rng = SmallRng::seed_from_u64(79);
-        // 96³ > the sequential short-circuit threshold.
-        let a = uniform_matrix::<f64, _>(96, 96, -1.0, 1.0, &mut rng);
-        let b = uniform_matrix::<f64, _>(96, 96, -1.0, 1.0, &mut rng);
-        rayon::set_num_threads(4);
-        let parallel = a.matmul_parallel(&b);
-        rayon::set_num_threads(1);
-        assert_eq!(parallel, a.matmul(&b));
     }
 }
