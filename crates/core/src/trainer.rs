@@ -374,7 +374,10 @@ impl Trainer {
                 }
                 break;
             }
-            if solved_at_episode.is_none() {
+            // No reset after the budget's last episode: no episode would use
+            // the redrawn weights (`run_vec` and the population loop stop
+            // before their reset rule too).
+            if solved_at_episode.is_none() && episodes_run < self.config.max_episodes {
                 if let Some(reset_after) = self.config.reset_after_episodes {
                     if episodes_since_reset >= reset_after {
                         agent.reset(rng);
@@ -1001,6 +1004,27 @@ mod tests {
     }
 
     #[test]
+    fn scalar_and_vec_drivers_count_the_same_resets_at_the_budget_edge() {
+        // Reset-after-2 with budgets that end on, just past and just before a
+        // reset boundary: neither driver may reset after the last episode.
+        for budget in [4, 5, 6] {
+            let mut config = TrainerConfig::quick(budget);
+            config.reset_after_episodes = Some(2);
+            config.solve_criterion = SolveCriterion::EpisodeReturn { threshold: 1000.0 };
+            let trainer = Trainer::new(config);
+            let mut scalar_agent = CountingAgent::new();
+            let scalar = trainer.run(&mut scalar_agent, &mut ScriptedEnv::new(&[3]), &mut rng(0));
+            let mut vec_agent = CountingAgent::new();
+            let vec = trainer.run_vec(&mut vec_agent, &mut scripted_vec(&[3], 1), &mut rng(0));
+            assert_eq!(scalar.episodes_run, budget);
+            assert_eq!(vec.episodes_run, budget);
+            assert_eq!(scalar.resets, (budget - 1) / 2, "budget {budget}");
+            assert_eq!(scalar.resets, vec.resets, "budget {budget}");
+            assert_eq!(scalar_agent.resets, vec_agent.resets, "budget {budget}");
+        }
+    }
+
+    #[test]
     fn run_vec_with_a_real_design_is_deterministic_and_env_count_sensitive() {
         let run = |seed: u64, e: usize| {
             let mut r = rng(seed);
@@ -1116,11 +1140,12 @@ mod tests {
     fn reset_rule_actually_redraws_agent_weights() {
         // A real OS-ELM agent must lose its trained state when the trainer's
         // reset rule fires: hidden 4 initialises after 4 samples, episodes of
-        // 6 steps train it immediately, and reset-after-2 wipes it again.
+        // 6 steps train it immediately, and reset-after-2 wipes it again. The
+        // last episode's single step cannot re-initialise it.
         let mut r = rng(11);
         let mut agent = Design::OsElm.build(&DesignConfig::new(4).for_env(1, 2), &mut r);
-        let mut env = ScriptedEnv::new(&[6]);
-        let mut config = TrainerConfig::quick(2);
+        let mut env = ScriptedEnv::new(&[6, 6, 1]);
+        let mut config = TrainerConfig::quick(3);
         config.reset_after_episodes = Some(2);
         config.solve_criterion = SolveCriterion::EpisodeReturn { threshold: 1000.0 };
         let result = Trainer::new(config).run(agent.as_mut(), &mut env, &mut r);
