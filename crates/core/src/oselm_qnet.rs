@@ -121,20 +121,6 @@ impl OsElmQNetConfig {
         }
     }
 
-    /// The paper's CartPole settings for a given hidden size and design knobs.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use OsElmQNetConfig::for_workload(&Workload::CartPole.spec(), ..)"
-    )]
-    pub fn cartpole(hidden_dim: usize, l2_delta: f64, spectral_normalize: bool) -> Self {
-        Self::for_workload(
-            &elmrl_gym::Workload::CartPole.spec(),
-            hidden_dim,
-            l2_delta,
-            spectral_normalize,
-        )
-    }
-
     /// One draw of the random-update rule (Algorithm 1 lines 21–22): should
     /// the transition currently being observed trigger a sequential update?
     /// Shared by the scalar and batched observe paths so the gate cannot
@@ -543,13 +529,21 @@ impl BatchAgent for OsElmQNet {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the cartpole() shims must keep working for seed tests
 mod tests {
     use super::*;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
+    }
+
+    fn cartpole(hidden_dim: usize, l2_delta: f64, spectral_normalize: bool) -> OsElmQNetConfig {
+        OsElmQNetConfig::for_workload(
+            &elmrl_gym::Workload::CartPole.spec(),
+            hidden_dim,
+            l2_delta,
+            spectral_normalize,
+        )
     }
 
     fn sample_obs(reward: f64, done: bool) -> Observation {
@@ -566,20 +560,20 @@ mod tests {
     #[test]
     fn design_names_follow_knobs() {
         let mut r = rng(0);
-        let plain = OsElmQNet::new(OsElmQNetConfig::cartpole(16, 0.0, false), &mut r);
+        let plain = OsElmQNet::new(cartpole(16, 0.0, false), &mut r);
         assert_eq!(plain.name(), "OS-ELM");
-        let l2 = OsElmQNet::new(OsElmQNetConfig::cartpole(16, 1.0, false), &mut r);
+        let l2 = OsElmQNet::new(cartpole(16, 1.0, false), &mut r);
         assert_eq!(l2.name(), "OS-ELM-L2");
-        let lip = OsElmQNet::new(OsElmQNetConfig::cartpole(16, 0.0, true), &mut r);
+        let lip = OsElmQNet::new(cartpole(16, 0.0, true), &mut r);
         assert_eq!(lip.name(), "OS-ELM-Lipschitz");
-        let both = OsElmQNet::new(OsElmQNetConfig::cartpole(16, 0.5, true), &mut r);
+        let both = OsElmQNet::new(cartpole(16, 0.5, true), &mut r);
         assert_eq!(both.name(), "OS-ELM-L2-Lipschitz");
         assert_eq!(both.hidden_dim(), 16);
     }
 
     #[test]
     fn cartpole_config_matches_paper_parameters() {
-        let c = OsElmQNetConfig::cartpole(64, 0.5, true);
+        let c = cartpole(64, 0.5, true);
         assert_eq!(c.state_dim, 4);
         assert_eq!(c.num_actions, 2);
         assert_eq!(c.exploit_prob, 0.7);
@@ -592,7 +586,7 @@ mod tests {
     #[test]
     fn initial_training_triggers_when_buffer_fills() {
         let mut r = rng(1);
-        let mut agent = OsElmQNet::new(OsElmQNetConfig::cartpole(8, 0.5, true), &mut r);
+        let mut agent = OsElmQNet::new(cartpole(8, 0.5, true), &mut r);
         assert!(!agent.is_initialized());
         for i in 0..8 {
             assert!(
@@ -610,7 +604,7 @@ mod tests {
     #[test]
     fn sequential_updates_respect_random_update_probability() {
         let mut r = rng(2);
-        let mut config = OsElmQNetConfig::cartpole(8, 0.5, true);
+        let mut config = cartpole(8, 0.5, true);
         config.update_prob = 0.0; // never update
         let mut agent = OsElmQNet::new(config, &mut r);
         for i in 0..8 {
@@ -623,7 +617,7 @@ mod tests {
         }
         assert_eq!(agent.op_counts().count(OpKind::SeqTrain), 0);
 
-        let mut config2 = OsElmQNetConfig::cartpole(8, 0.5, true);
+        let mut config2 = cartpole(8, 0.5, true);
         config2.random_update = false; // always update (ablation)
         let mut agent2 = OsElmQNet::new(config2, &mut r);
         for i in 0..8 {
@@ -640,7 +634,7 @@ mod tests {
     #[test]
     fn predictions_are_counted_by_phase() {
         let mut r = rng(3);
-        let mut agent = OsElmQNet::new(OsElmQNetConfig::cartpole(8, 0.5, true), &mut r);
+        let mut agent = OsElmQNet::new(cartpole(8, 0.5, true), &mut r);
         let state = [0.0, 0.0, 0.0, 0.0];
         let _ = agent.act(&state, &mut r);
         assert_eq!(agent.op_counts().count(OpKind::PredictInit), 2); // one per action
@@ -658,7 +652,7 @@ mod tests {
         // Feed the same failing transition repeatedly: Q(s, a) must move
         // towards the clipped target −1 and stay inside [−1, 1]+tolerance.
         let mut r = rng(4);
-        let mut config = OsElmQNetConfig::cartpole(16, 0.5, true);
+        let mut config = cartpole(16, 0.5, true);
         config.random_update = false;
         let mut agent = OsElmQNet::new(config, &mut r);
         for i in 0..16 {
@@ -682,7 +676,7 @@ mod tests {
     #[test]
     fn target_sync_follows_update_step() {
         let mut r = rng(5);
-        let mut agent = OsElmQNet::new(OsElmQNetConfig::cartpole(8, 0.5, true), &mut r);
+        let mut agent = OsElmQNet::new(cartpole(8, 0.5, true), &mut r);
         for i in 0..8 {
             let mut obs = sample_obs(-1.0, true);
             obs.state[0] = i as f64 * 0.05;
@@ -702,7 +696,7 @@ mod tests {
     #[test]
     fn reset_clears_learned_state() {
         let mut r = rng(6);
-        let mut agent = OsElmQNet::new(OsElmQNetConfig::cartpole(8, 0.5, true), &mut r);
+        let mut agent = OsElmQNet::new(cartpole(8, 0.5, true), &mut r);
         for i in 0..8 {
             let mut obs = sample_obs(-1.0, true);
             obs.state[0] = i as f64 * 0.05;
@@ -717,8 +711,8 @@ mod tests {
     #[test]
     fn spectral_normalization_bounds_lipschitz_constant() {
         let mut r = rng(7);
-        let normalized = OsElmQNet::new(OsElmQNetConfig::cartpole(32, 0.5, true), &mut r);
-        let raw = OsElmQNet::new(OsElmQNetConfig::cartpole(32, 0.5, false), &mut r);
+        let normalized = OsElmQNet::new(cartpole(32, 0.5, true), &mut r);
+        let raw = OsElmQNet::new(cartpole(32, 0.5, false), &mut r);
         // With zero β both bounds are 0; compare α's σ_max directly.
         assert!(normalized.online.model().alpha_sigma_max() <= 1.0 + 1e-9);
         assert!(raw.online.model().alpha_sigma_max() > 1.0);
@@ -728,7 +722,7 @@ mod tests {
     /// `observe_batch` tick, returning the resulting β as a flat vector.
     fn beta_after_one_tick(chunk_cap: Option<usize>, tick_width: usize) -> Vec<f64> {
         let mut r = rng(42);
-        let mut config = OsElmQNetConfig::cartpole(16, 0.5, true);
+        let mut config = cartpole(16, 0.5, true);
         config.random_update = false; // every transition trains
         config.chunk_cap = chunk_cap;
         let mut agent = OsElmQNet::new(config, &mut r);
@@ -792,8 +786,8 @@ mod tests {
     #[test]
     fn memory_footprint_grows_with_hidden_size() {
         let mut r = rng(8);
-        let small = OsElmQNet::new(OsElmQNetConfig::cartpole(32, 0.5, true), &mut r);
-        let large = OsElmQNet::new(OsElmQNetConfig::cartpole(128, 0.5, true), &mut r);
+        let small = OsElmQNet::new(cartpole(32, 0.5, true), &mut r);
+        let large = OsElmQNet::new(cartpole(128, 0.5, true), &mut r);
         assert!(large.memory_footprint_bytes() > small.memory_footprint_bytes());
         // P (Ñ²) dominates: quadrupling Ñ should grow memory by ~16×.
         let ratio = large.memory_footprint_bytes() as f64 / small.memory_footprint_bytes() as f64;

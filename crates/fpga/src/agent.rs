@@ -69,15 +69,6 @@ impl FpgaAgentConfig {
         }
     }
 
-    /// The paper's CartPole settings for a given hidden size.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use FpgaAgentConfig::for_workload(&Workload::CartPole.spec(), hidden_dim)"
-    )]
-    pub fn cartpole(hidden_dim: usize) -> Self {
-        Self::for_workload(&elmrl_gym::Workload::CartPole.spec(), hidden_dim)
-    }
-
     fn elm_config(&self) -> OsElmConfig {
         OsElmConfig::new(self.state_dim + 1, self.hidden_dim, 1)
             .with_activation(HiddenActivation::ReLU)
@@ -585,7 +576,6 @@ impl elmrl_core::batch::BatchAgent for FpgaAgent {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the cartpole() shims must keep working for seed tests
 mod tests {
     use super::*;
     use elmrl_core::designs::{Design, DesignConfig};
@@ -595,6 +585,10 @@ mod tests {
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
+    }
+
+    fn cartpole(hidden_dim: usize) -> FpgaAgentConfig {
+        FpgaAgentConfig::for_workload(&elmrl_gym::Workload::CartPole.spec(), hidden_dim)
     }
 
     fn obs(i: usize, reward: f64, done: bool) -> Observation {
@@ -616,7 +610,7 @@ mod tests {
     #[test]
     fn initial_training_loads_the_core() {
         let mut r = rng(1);
-        let mut agent = FpgaAgent::new(FpgaAgentConfig::cartpole(16), &mut r);
+        let mut agent = FpgaAgent::new(cartpole(16), &mut r);
         assert_eq!(agent.name(), "FPGA");
         assert!(!agent.core_loaded());
         for i in 0..16 {
@@ -635,12 +629,12 @@ mod tests {
     #[test]
     fn predictions_and_updates_accumulate_pl_cycles() {
         let mut r = rng(2);
-        let mut agent = FpgaAgent::new(FpgaAgentConfig::cartpole(16), &mut r);
+        let mut agent = FpgaAgent::new(cartpole(16), &mut r);
         for i in 0..16 {
             agent.observe(&obs(i, 0.0, false), &mut r);
         }
         let _ = agent.act(&[0.0; 4], &mut r);
-        let mut cfg = FpgaAgentConfig::cartpole(16);
+        let mut cfg = cartpole(16);
         cfg.update_prob = 1.0;
         let pl_after_predict = agent.simulated_pl_seconds();
         assert!(pl_after_predict > 0.0);
@@ -663,7 +657,7 @@ mod tests {
         // (not identical — quantisation and independent RNG draws differ).
         let trainer = Trainer::new(TrainerConfig::quick(15));
         let mut r1 = rng(3);
-        let mut fpga = FpgaAgent::new(FpgaAgentConfig::cartpole(16), &mut r1);
+        let mut fpga = FpgaAgent::new(cartpole(16), &mut r1);
         let mut env1 = CartPole::new();
         let res_fpga = trainer.run(&mut fpga, &mut env1, &mut r1);
 
@@ -687,7 +681,7 @@ mod tests {
     #[test]
     fn target_sync_reads_back_quantised_beta() {
         let mut r = rng(4);
-        let mut agent = FpgaAgent::new(FpgaAgentConfig::cartpole(8), &mut r);
+        let mut agent = FpgaAgent::new(cartpole(8), &mut r);
         for i in 0..8 {
             agent.observe(&obs(i, -1.0, true), &mut r);
         }
@@ -710,7 +704,7 @@ mod tests {
     #[test]
     fn reset_unloads_the_core() {
         let mut r = rng(5);
-        let mut agent = FpgaAgent::new(FpgaAgentConfig::cartpole(8), &mut r);
+        let mut agent = FpgaAgent::new(cartpole(8), &mut r);
         for i in 0..8 {
             agent.observe(&obs(i, 0.0, false), &mut r);
         }
@@ -726,7 +720,7 @@ mod tests {
         // snapshot; the restored copy must act/observe identically for 64
         // steps when driven with identical RNG streams.
         let mut r = rng(9);
-        let mut cfg = FpgaAgentConfig::cartpole(8);
+        let mut cfg = cartpole(8);
         cfg.update_prob = 1.0;
         let mut agent = FpgaAgent::new(cfg.clone(), &mut r);
         for i in 0..20 {
@@ -765,14 +759,14 @@ mod tests {
     #[test]
     fn snapshot_before_initial_training_round_trips_the_buffer() {
         let mut r = rng(10);
-        let mut agent = FpgaAgent::new(FpgaAgentConfig::cartpole(16), &mut r);
+        let mut agent = FpgaAgent::new(cartpole(16), &mut r);
         for i in 0..5 {
             agent.observe(&obs(i, 0.0, false), &mut r);
         }
         assert!(!agent.core_loaded());
         let snap = agent.snapshot().unwrap();
 
-        let mut other = FpgaAgent::new(FpgaAgentConfig::cartpole(16), &mut rng(55));
+        let mut other = FpgaAgent::new(cartpole(16), &mut rng(55));
         other.restore(&snap).unwrap();
         assert!(!other.core_loaded());
         // Feeding the remaining samples must trigger initial training at the
@@ -791,7 +785,7 @@ mod tests {
     #[test]
     fn memory_footprint_matches_bram_words() {
         let mut r = rng(6);
-        let agent = FpgaAgent::new(FpgaAgentConfig::cartpole(64), &mut r);
+        let agent = FpgaAgent::new(cartpole(64), &mut r);
         let words = crate::resources::ResourceModel::pynq_z1().storage_words(64);
         assert_eq!(agent.memory_footprint_bytes(), words * 4);
     }
