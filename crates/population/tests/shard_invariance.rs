@@ -9,7 +9,17 @@ use elmrl_gym::Workload;
 use elmrl_population::{PopulationConfig, PopulationRunner};
 
 fn report_json(workload: Workload, design: Design, shards: usize) -> String {
-    let mut config = PopulationConfig::new(workload, design, 8, 5);
+    sized_report_json(workload, design, 8, 5, shards)
+}
+
+fn sized_report_json(
+    workload: Workload,
+    design: Design,
+    hidden_dim: usize,
+    replicas: usize,
+    shards: usize,
+) -> String {
+    let mut config = PopulationConfig::new(workload, design, hidden_dim, replicas);
     config.shards = shards;
     config.seed = 2026;
     config.max_episodes = 3;
@@ -42,20 +52,34 @@ fn same_seed_any_shards_same_json() {
 #[test]
 fn thread_count_never_changes_the_bytes() {
     // Fixed shards, varying pool size: `--threads 1` (true sequential path)
-    // vs `--threads 4` (genuinely concurrent shards) must serialize to the
-    // exact same bytes. Per-replica RNG streams are split from the master
-    // seed by global replica index and shard results are stitched in shard
-    // order, so only scheduling — never arithmetic — changes with threads.
-    rayon::set_num_threads(1);
-    let sequential = report_json(Workload::CartPole, Design::OsElmL2Lipschitz, 4);
-    rayon::set_num_threads(4);
-    let threaded = report_json(Workload::CartPole, Design::OsElmL2Lipschitz, 4);
-    rayon::set_num_threads(1);
-    assert_eq!(
-        sequential, threaded,
-        "thread pool size leaked into the population report"
-    );
-    assert!(sequential.contains("\"replicas\""));
+    // vs `--threads 2` and `--threads 4` (genuinely concurrent shards) must
+    // serialize to the exact same bytes, at a toy width and at the paper's
+    // Ñ = 64. Per-replica RNG streams are split from the master seed by
+    // global replica index and shard results are stitched in shard order, so
+    // only scheduling — never arithmetic — changes with threads.
+    for (hidden_dim, replicas) in [(8, 5), (64, 8)] {
+        let report = |threads: usize| {
+            rayon::set_num_threads(threads);
+            let json = sized_report_json(
+                Workload::CartPole,
+                Design::OsElmL2Lipschitz,
+                hidden_dim,
+                replicas,
+                4,
+            );
+            rayon::set_num_threads(1);
+            json
+        };
+        let sequential = report(1);
+        for threads in [2, 4] {
+            assert_eq!(
+                sequential,
+                report(threads),
+                "thread pool size {threads} leaked into the Ñ = {hidden_dim} population report"
+            );
+        }
+        assert!(sequential.contains("\"replicas\""));
+    }
 }
 
 #[test]
