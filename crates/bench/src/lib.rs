@@ -7,7 +7,8 @@
 //! (`population_throughput`) comparing batched Q inference against the
 //! per-sample loop at B ∈ {1, 8, 32, 128}. The benches use reduced trial counts and episode
 //! budgets so that `cargo bench --workspace` completes in minutes; the full
-//! paper protocol is driven by the `elmrl-harness` binaries instead.
+//! paper protocol is driven by the `elmrl-harness` binaries instead, and
+//! speed is measured end to end by the repository benchmark in `perfbench/`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -18,7 +18,7 @@
 //! every outstanding helper has retired (mirroring rayon's behaviour).
 //!
 //! Deadlock freedom under nesting: a caller that is itself a pool worker
-//! (e.g. `matmul_parallel` inside a population shard) parks on a latch
+//! (e.g. `matmul_auto_into` inside a population shard) parks on a latch
 //! *while helping* — it keeps draining the global queue until its own
 //! helpers have finished, so queued sub-tasks can never starve behind the
 //! very task that is waiting for them.
