@@ -8,11 +8,7 @@ use elmrl_core::designs::Design;
 use elmrl_gym::Workload;
 use elmrl_population::{PopulationConfig, PopulationRunner};
 
-fn report_json(workload: Workload, design: Design, shards: usize) -> String {
-    sized_report_json(workload, design, 8, 5, shards)
-}
-
-fn sized_report_json(
+fn report_json(
     workload: Workload,
     design: Design,
     hidden_dim: usize,
@@ -35,11 +31,11 @@ fn same_seed_any_shards_same_json() {
         (Workload::MountainCar, Design::Dqn),
         (Workload::Acrobot, Design::OsElm),
     ] {
-        let single = report_json(workload, design, 1);
+        let single = report_json(workload, design, 8, 5, 1);
         for shards in [2, 4, 5, 7] {
             assert_eq!(
                 single,
-                report_json(workload, design, shards),
+                report_json(workload, design, 8, 5, shards),
                 "{workload:?}/{design:?} diverged at {shards} shards"
             );
         }
@@ -60,7 +56,7 @@ fn thread_count_never_changes_the_bytes() {
     for (hidden_dim, replicas) in [(8, 5), (64, 8)] {
         let report = |threads: usize| {
             rayon::set_num_threads(threads);
-            let json = sized_report_json(
+            let json = report_json(
                 Workload::CartPole,
                 Design::OsElmL2Lipschitz,
                 hidden_dim,
