@@ -1005,8 +1005,9 @@ mod tests {
 
     #[test]
     fn scalar_and_vec_drivers_count_the_same_resets_at_the_budget_edge() {
-        // Reset-after-2 with budgets that end on, just past and just before a
-        // reset boundary: neither driver may reset after the last episode.
+        // Reset-after-2: budgets 4 and 6 end exactly where a reset falls due,
+        // 5 one episode past one. Neither driver may reset after the last
+        // episode.
         for budget in [4, 5, 6] {
             let mut config = TrainerConfig::quick(budget);
             config.reset_after_episodes = Some(2);
